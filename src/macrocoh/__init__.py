@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .collapse import (CSL_ADLER, CSL_DEFAULT, CslParams, ModelId, csl_lambda,
                        csl_shape, dp_lambda, dp_rate, k_coherence_cell,
-                       k_lambda, model_rate_fn, qg_lambda)
+                       k_lambda, qg_lambda)
 from .constants import CONSTANTS, PhysicalConstants
 from .decoherence import (ChannelRates, EmissionSpectrum, bb_absorb_lambda,
                           bb_emit_lambda, bb_scatter_lambda, emission_spectrum,

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, expansion, mission, vacuum
-from .config import ConfigError
+from .config import ConfigError, csv_cell
 from .decoherence import qm_channel_rates
 from .expansion import ExpansionKinematics, InfiniteCoherenceError
 from .numerics import QuadratureError
@@ -83,12 +83,6 @@ def write_manifest(command, inputs, outputs, parameters):
         atomic_write_text(str(out) + ".manifest.json", manifest.to_json())
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _resolve_scenario(args):
     if args.scenario is not None:
         return load_scenario(args.scenario), str(args.scenario)
@@ -133,7 +127,7 @@ def cmd_decoherence_report(args):
         ("visibility_at_cet", visibility, "1"),
     ]
     text = "quantity,value,unit\n" + "".join(
-        f"{name},{_fmt(value)},{unit}\n" for name, value, unit in rows)
+        f"{name},{csv_cell(value)},{unit}\n" for name, value, unit in rows)
     atomic_write_text(args.out, text)
     write_manifest("decoherence-report", [source], [args.out],
                    {"scenario": source, "label": scenario.label})
@@ -224,25 +218,27 @@ def cmd_vacuum_report(args):
         state = vacuum.steady_state(gamma0, temperature, row.species_mass)
         cells = [
             name,
-            _fmt(row.mass_loss_rate * decay),
-            _fmt(gamma0),
-            _fmt(state.pressure / vacuum.MBAR),
-            _fmt(state.number_density),
-            _fmt(vacuum.collision_rate(gamma0, args.sphere_radius)),
-            _fmt(vacuum.implied_emitting_area(row.mass_loss_rate,
-                                              row.species_mass, row.gamma0)),
+            csv_cell(row.mass_loss_rate * decay),
+            csv_cell(gamma0),
+            csv_cell(state.pressure / vacuum.MBAR),
+            csv_cell(state.number_density),
+            csv_cell(vacuum.collision_rate(gamma0, args.sphere_radius)),
+            csv_cell(vacuum.implied_emitting_area(row.mass_loss_rate,
+                                                  row.species_mass,
+                                                  row.gamma0)),
         ]
         if with_dilution:
             patch_area = math.pi * (0.5 * args.patch_diameter) ** 2
             diluted = vacuum.dilution_from_patch(state.number_density,
                                                  patch_area, args.distance)
-            cells += [_fmt(diluted), _fmt(diluted / state.number_density)]
+            cells += [csv_cell(diluted),
+                      csv_cell(diluted / state.number_density)]
         if args.cold_temperature is not None:
             cells += [
-                _fmt(vacuum.pressure_attenuation(10.0, temperature,
-                                                 args.cold_temperature)),
-                _fmt(vacuum.pressure_attenuation(30.0, temperature,
-                                                 args.cold_temperature)),
+                csv_cell(vacuum.pressure_attenuation(10.0, temperature,
+                                                     args.cold_temperature)),
+                csv_cell(vacuum.pressure_attenuation(30.0, temperature,
+                                                     args.cold_temperature)),
             ]
         lines.append(",".join(cells))
 
@@ -313,7 +309,7 @@ def cmd_mission_report(args):
                 f" (delta {check.delta:+g})")
 
     text = "quantity,computed,target,unit\n" + "".join(
-        f"{name},{_fmt(value)},{_fmt(target)},{unit}\n"
+        f"{name},{csv_cell(value)},{csv_cell(target)},{unit}\n"
         for name, value, target, unit in rows)
     atomic_write_text(args.out, text)
     write_manifest("mission-report",

@@ -114,30 +114,3 @@ def dp_rate(particle, delta_x):
         return coeff * delta_x**2
     return coeff * particle.radius**2
 
-
-def model_rate_fn(model, particle, params=None, k_saturation=False):
-    """Rate function F(dx) in 1/s for the requested model.
-
-    CSL requires its parameter set.  With k_saturation the K-model rate stops
-    growing beyond one coherence cell: F = Lambda_K * min(dx, a_c)^2.
-    The returned callable captures only plain floats and is pure.
-    """
-    if model is ModelId.CSL:
-        if params is None:
-            raise ValueError("CSL requires a CslParams instance")
-        coeff = csl_lambda(particle, params)
-        return lambda dx: coeff * dx * dx
-    if model is ModelId.QG:
-        coeff = qg_lambda(particle_mass(particle))
-        return lambda dx: coeff * dx * dx
-    if model is ModelId.K:
-        coeff = k_lambda(particle)
-        if k_saturation:
-            cell = k_coherence_cell(particle)
-            return lambda dx: coeff * min(dx, cell) ** 2
-        return lambda dx: coeff * dx * dx
-    if model is ModelId.DP:
-        coeff = dp_lambda(particle)
-        radius = particle.radius
-        return lambda dx: coeff * (dx * dx if dx < radius else radius * radius)
-    raise ValueError(f"unknown model {model!r}")

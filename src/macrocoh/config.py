@@ -77,3 +77,15 @@ def quantity(doc, path, options, default=None):
         raise ConfigError(f"{path}: missing one of {sorted(options)}")
     key = present[0]
     return number(doc, key, path) * options[key]
+
+
+def csv_cell(value):
+    """Text of one CSV cell: a float as its round-trip repr, else str(value).
+
+    numpy float scalars count as floats and are converted first, because
+    under numpy 2 their repr names the type (np.float64(...)).  Infinite and
+    NaN values come out as 'inf' and 'nan'.
+    """
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)

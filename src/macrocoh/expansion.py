@@ -1,23 +1,28 @@
 """Wave-packet expansion and accumulated decoherence.
 
-The released wave packet spreads as sigma(t) = sqrt(x0^2 + v_m^2 t^2).  A
-decoherence law F(separation) acting on the outermost coherence element (at
-separation 2 sigma(t)) accumulates the exposure
+The released wave packet spreads as sigma(t) = sqrt(x0^2 + v_m^2 t^2).  Every
+decoherence law of the package has the form F(dx) = Lambda min(dx, b)^2 + F_c:
+quadratic in the separation dx up to a saturation separation b (infinite for
+a purely quadratic law), plus a constant rate F_c.  Acting on the outermost
+coherence element, at separation 2 sigma(t), it accumulates the exposure
 
-    Gamma(tau) = integral_0^tau F(2 sigma(t)) dt ,
+    Gamma(tau) = integral_0^tau F(2 sigma(t)) dt
+               = 4 Lambda (x0^2 tau + v_m^2 tau^3 / 3) + F_c tau    (tau <= t_b)
+               = Gamma(t_b) + (Lambda b^2 + F_c) (tau - t_b)       (tau >  t_b)
 
-which for a quadratic law F = Lambda * dx^2 plus a constant rate F_c has the
-closed form 4 Lambda (x0^2 tau + v_m^2 tau^3 / 3) + F_c tau.  The coherent
-expansion time (CET) is the tau at which 4 Gamma(tau) = 1, i.e. the predicted
-fringe visibility exp(-4 Gamma) has dropped to 1/e; the coherent expansion
-distance is CED = v_m * CET.
+where t_b = sqrt((b/2)^2 - x0^2) / v_m is the time at which 2 sigma reaches b
+(t_b = 0 when b/2 <= x0: the rate is then constant from the start).  The
+coherent expansion time (CET) is the tau at which 4 Gamma(tau) = 1, i.e. the
+predicted fringe visibility exp(-4 Gamma) has dropped to 1/e; it is the root
+of the cubic, or the cubic branch at t_b followed by one linear step.  The
+coherent expansion distance is CED = v_m * CET.
 """
 
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .numerics import bisect_increasing, cbrt, quad_checked
+from .numerics import cbrt, quad_checked
 
 # Expansion times beyond this are treated as unbounded coherence.
 TAU_CAP = 1e9  # s
@@ -39,22 +44,28 @@ class ExpansionKinematics:
 
 @dataclass(frozen=True)
 class DecoherenceSpec:
-    """Decoherence law split into quadratic, constant, and general parts.
+    """Decoherence law Lambda min(dx, b)^2 + F_c, plus an optional general part.
 
     Total rate at separation dx:
-        quadratic_lambda * dx^2 + constant_rate + general_rate(dx).
-    `general_breakpoints` lists separations where the general law has kinks;
-    they are forwarded to the quadrature as known split points.
+        quadratic_lambda * min(dx, saturation_separation)^2 + constant_rate
+        + general_rate(dx).
+    The closed forms (`gamma`, `cet_closed_form`, `solve_cet`) cover specs
+    without a general component.  The general component serves the
+    quadrature oracle `gamma_quadrature` only; `general_breakpoints` lists
+    separations where it has kinks.
     """
 
-    quadratic_lambda: float = 0.0   # 1/(m^2 s)
-    constant_rate: float = 0.0      # 1/s
-    general_rate: object = None     # callable dx -> 1/s, or None
+    quadratic_lambda: float = 0.0           # 1/(m^2 s)
+    constant_rate: float = 0.0              # 1/s
+    saturation_separation: float = math.inf  # m, the b of the law
+    general_rate: object = None             # callable dx -> 1/s, or None
     general_breakpoints: tuple = ()
 
     def __post_init__(self):
         if self.quadratic_lambda < 0.0 or self.constant_rate < 0.0:
             raise ValueError("decoherence components must be non-negative")
+        if not self.saturation_separation > 0.0:
+            raise ValueError("saturation separation must be positive")
 
     @property
     def is_null(self):
@@ -63,7 +74,9 @@ class DecoherenceSpec:
 
     def rate(self, separation):
         """Total decoherence rate (1/s) at the given separation (m)."""
-        total = self.quadratic_lambda * separation**2 + self.constant_rate
+        total = (self.quadratic_lambda
+                 * min(separation, self.saturation_separation) ** 2
+                 + self.constant_rate)
         if self.general_rate is not None:
             total += self.general_rate(separation)
         return total
@@ -76,117 +89,113 @@ def sigma(t, kin):
     return math.hypot(kin.x0, kin.v_m * t)
 
 
-def gamma(tau, spec, kin):
-    """Accumulated decoherence exposure Gamma(tau), dimensionless.
-
-    The quadratic and constant parts use the exact closed form; a general
-    component is integrated numerically with the rate evaluated at
-    separation 2 sigma(t).
-    """
-    if tau < 0.0:
-        raise ValueError("expansion time must be non-negative")
-    value = (4.0 * spec.quadratic_lambda
-             * (kin.x0**2 * tau + kin.v_m**2 * tau**3 / 3.0)
-             + spec.constant_rate * tau)
-    if spec.general_rate is not None and tau > 0.0:
-        value += _general_exposure(tau, spec, kin)
-    return value
-
-
-def _general_exposure(tau, spec, kin):
-    rate = spec.general_rate
-    points = [_time_at_separation(s, kin) for s in spec.general_breakpoints]
-    points = [t for t in points if t is not None]
-    value, _ = quad_checked(lambda t: rate(2.0 * sigma(t, kin)), 0.0, tau,
-                            points=points)
-    return value
+def _require_closed_form(spec):
+    if spec.general_rate is not None:
+        raise ValueError("closed form does not cover a general rate component")
 
 
 def _time_at_separation(separation, kin):
-    """Time at which 2 sigma(t) reaches the given separation, or None."""
+    """Time at which 2 sigma(t) reaches the separation: 0 when it starts
+    there or beyond, inf for an infinite separation."""
     half = 0.5 * separation
     if half <= kin.x0:
-        return None
+        return 0.0
     return math.sqrt(half**2 - kin.x0**2) / kin.v_m
+
+
+def _cubic_gamma(tau, spec, kin):
+    return (4.0 * spec.quadratic_lambda
+            * (kin.x0**2 * tau + kin.v_m**2 * tau**3 / 3.0)
+            + spec.constant_rate * tau)
+
+
+def gamma(tau, spec, kin):
+    """Accumulated decoherence exposure Gamma(tau), dimensionless.
+
+    Exact piecewise closed form: the cubic up to the saturation time t_b,
+    then linear growth at the saturated rate Lambda b^2 + F_c.
+    """
+    if tau < 0.0:
+        raise ValueError("expansion time must be non-negative")
+    _require_closed_form(spec)
+    t_b = _time_at_separation(spec.saturation_separation, kin)
+    if tau <= t_b:
+        return _cubic_gamma(tau, spec, kin)
+    saturated = spec.rate(spec.saturation_separation)
+    return _cubic_gamma(t_b, spec, kin) + saturated * (tau - t_b)
 
 
 def gamma_quadrature(tau, spec, kin):
     """Gamma(tau) with every component under the quadrature; oracle path."""
     if tau == 0.0:
         return 0.0
+    separations = (spec.saturation_separation,) + tuple(spec.general_breakpoints)
     value, _ = quad_checked(
         lambda t: spec.rate(2.0 * sigma(t, kin)), 0.0, tau,
-        points=[t for t in (_time_at_separation(s, kin)
-                            for s in spec.general_breakpoints) if t is not None])
+        points=[_time_at_separation(s, kin) for s in separations])
     return value
 
 
-def cet_closed_form(spec, kin):
-    """Analytic CET for a quadratic + constant spec (no general component).
+def _cubic_root(a_cub, b_lin):
+    """Positive root of a_cub tau^3 + b_lin tau = 1 for a_cub, b_lin >= 0.
 
-    4 Gamma = A tau^3 + B tau with A = (16/3) Lambda v_m^2 and
-    B = 16 Lambda x0^2 + 4 F_c; the unique positive root of A tau^3 + B tau = 1
-    comes from the depressed-cubic formula, arranged to stay stable when the
-    linear term dominates.
+    Cardano's root u + v of the depressed cubic, written as
+    1 / (a_cub (u^2 - u v + v^2)) so that no two terms cancel: with
+    u = sqrt(b_lin / (3 a_cub)) c it reduces to 3 / (b_lin (c^2 + 1 + c^-2)).
+    Coefficients that underflowed to zero give an infinite root.
     """
-    if spec.general_rate is not None:
-        raise ValueError("closed form does not cover a general rate component")
-    if spec.is_null:
-        raise InfiniteCoherenceError("no decoherence channels; coherence never decays")
-    a_cub = 16.0 / 3.0 * spec.quadratic_lambda * kin.v_m**2
-    b_lin = 16.0 * spec.quadratic_lambda * kin.x0**2 + 4.0 * spec.constant_rate
+    if b_lin == 0.0:
+        return cbrt(1.0 / a_cub) if a_cub > 0.0 else math.inf
     if a_cub == 0.0:
         return 1.0 / b_lin
-    if b_lin == 0.0:
+    w = 1.5 / b_lin * math.sqrt(3.0 * a_cub / b_lin)
+    if math.isinf(w):   # the linear term is below double precision
         return cbrt(1.0 / a_cub)
-    # tau^3 + p tau + q = 0 with p >= 0, q < 0: single real root
-    p = b_lin / a_cub
-    q = -1.0 / a_cub
-    disc = math.sqrt((0.5 * q) ** 2 + (p / 3.0) ** 3)
-    u = cbrt(-0.5 * q + disc)
-    return u - p / (3.0 * u)
+    c = cbrt(w + math.hypot(1.0, w))
+    return 3.0 / (b_lin * (c * c + 1.0 + 1.0 / (c * c)))
 
 
-def solve_cet(spec, kin, *, rel_tol=1e-12):
-    """Coherent expansion time: the unique tau with 4 Gamma(tau) = 1.
+def cet_closed_form(spec, kin):
+    """Analytic CET, without the TAU_CAP check.
 
-    Gamma is strictly increasing, so the root is bracketed by doubling and
-    then bisected.  Raises InfiniteCoherenceError when the spec carries no
-    decoherence at all or the threshold is not reached below TAU_CAP.
+    Below t_b, 4 Gamma = A tau^3 + B tau with A = (16/3) Lambda v_m^2 and
+    B = 16 Lambda x0^2 + 4 F_c, so the CET is the positive root of the cubic
+    when that root lies below t_b; otherwise 4 Gamma(t_b) < 1 and the CET
+    follows from the linear growth after t_b.
     """
+    _require_closed_form(spec)
     if spec.is_null:
         raise InfiniteCoherenceError("no decoherence channels; coherence never decays")
-
-    def residual(tau):
-        return 4.0 * gamma(tau, spec, kin) - 1.0
-
-    lo = 1e-12
-    f_lo = residual(lo)
-    if f_lo > 0.0:
-        # decoherence strong enough that the root sits below the nominal
-        # bracket start; walk down until it is enclosed
-        hi = lo
-        while f_lo > 0.0:
-            lo /= 16.0
-            if lo < 1e-300:
-                return lo
-            f_lo = residual(lo)
-    else:
-        hi = lo
-        f_hi = f_lo
-        while f_hi < 0.0:
-            hi *= 2.0
-            if hi > TAU_CAP:
-                raise InfiniteCoherenceError(
-                    f"4*Gamma(tau) < 1 for all tau up to {TAU_CAP:.0e} s; "
-                    "effectively infinite coherent expansion time")
-            f_hi = residual(hi)
-    return bisect_increasing(residual, lo, hi, rel_tol=rel_tol)
+    t_b = _time_at_separation(spec.saturation_separation, kin)
+    if t_b > 0.0:
+        tau = _cubic_root(16.0 / 3.0 * spec.quadratic_lambda * kin.v_m**2,
+                          16.0 * spec.quadratic_lambda * kin.x0**2
+                          + 4.0 * spec.constant_rate)
+        if tau <= t_b:
+            return tau
+    saturated = spec.rate(spec.saturation_separation)
+    if saturated == 0.0:   # Lambda b^2 underflowed
+        return math.inf
+    return t_b + (0.25 - _cubic_gamma(t_b, spec, kin)) / saturated
 
 
-def ced(spec, kin, **kwargs):
+def solve_cet(spec, kin):
+    """Coherent expansion time: the unique tau with 4 Gamma(tau) = 1.
+
+    Raises InfiniteCoherenceError when the spec carries no decoherence at
+    all or the threshold lies beyond TAU_CAP.
+    """
+    tau = cet_closed_form(spec, kin)
+    if tau > TAU_CAP:
+        raise InfiniteCoherenceError(
+            f"4*Gamma(tau) < 1 for all tau up to {TAU_CAP:.0e} s; "
+            "effectively infinite coherent expansion time")
+    return tau
+
+
+def ced(spec, kin):
     """Coherent expansion distance v_m * CET in meters."""
-    return kin.v_m * solve_cet(spec, kin, **kwargs)
+    return kin.v_m * solve_cet(spec, kin)
 
 
 VisibilityFactors = namedtuple("VisibilityFactors", ["amplitude", "visibility"])

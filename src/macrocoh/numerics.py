@@ -1,15 +1,12 @@
-"""Checked adaptive quadrature and monotone bisection.
+"""Checked adaptive quadrature and a signed real cube root.
 
-Thin wrappers around scipy's QUADPACK routines that turn silent convergence
-warnings into exceptions carrying the achieved error estimate, plus the
-bracketing/bisection helper used by the coherence-time solver.  Bisection is
-preferred over faster root finders because every residual function here is
-strictly increasing, which makes bisection unconditionally safe.
+`quad_checked` wraps scipy's QUADPACK routines and turns silent convergence
+warnings into exceptions carrying the achieved error estimate.  scipy is
+imported on the first call, so that code paths without quadrature (every
+closed-form solve) never pay for loading it.
 """
 
 import math
-
-from scipy import integrate
 
 
 class QuadratureError(RuntimeError):
@@ -29,6 +26,8 @@ def quad_checked(fn, a, b, *, epsrel=1e-9, epsabs=0.0, points=None,
     QUADPACK forbids the combination).  Raises QuadratureError instead of
     emitting the scipy IntegrationWarning.
     """
+    from scipy import integrate
+
     kwargs = {"epsabs": epsabs, "epsrel": epsrel, "limit": limit, "full_output": 1}
     if weight is not None:
         kwargs["weight"] = weight
@@ -52,18 +51,3 @@ def quad_checked(fn, a, b, *, epsrel=1e-9, epsabs=0.0, points=None,
 def cbrt(x):
     """Real cube root with sign (math.cbrt only exists from Python 3.11)."""
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def bisect_increasing(fn, lo, hi, *, rel_tol=1e-12, max_iter=300):
-    """Root of an increasing function with fn(lo) <= 0 <= fn(hi)."""
-    if lo > hi:
-        raise ValueError("need lo <= hi")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * max(abs(mid), 1e-300):
-            return mid
-        if fn(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

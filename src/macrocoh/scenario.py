@@ -153,6 +153,12 @@ def scenario_from_mapping(doc, source="<scenario>"):
             env, f"{source}.environment",
             {"gas_mass_kg": 1.0, "gas_mass_amu": CONSTANTS.m_u}),
     )
+    if environment.temperature == 0.0 and environment.pressure > 0.0:
+        # a gas at rest has no thermal velocity, so its collision rate is
+        # undefined; the radiation-only zero-temperature limit needs p = 0
+        raise config.ConfigError(
+            f"{source}.environment.temperature_K: must be positive when the "
+            "gas pressure is non-zero")
     trap_rec = Trap(
         wavelength=config.quantity(trap, f"{source}.trap",
                                    {"wavelength_m": 1.0, "wavelength_nm": 1e-9}),

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expansion
-from .collapse import (CSL_ADLER, CSL_DEFAULT, CslParams, ModelId,
-                       k_coherence_cell, model_rate_fn)
+from .collapse import (CSL_ADLER, CSL_DEFAULT, CslParams, ModelId, csl_lambda,
+                       dp_lambda, k_coherence_cell, k_lambda, qg_lambda)
+from .config import csv_cell
 from .decoherence import qm_channel_rates
 from .expansion import DecoherenceSpec, ExpansionKinematics, InfiniteCoherenceError
-from .scenario import load_packaged_scenario, scenario_kinematics
+from .scenario import load_packaged_scenario, particle_mass, scenario_kinematics
 
 
 @dataclass(frozen=True)
@@ -86,19 +87,26 @@ def radius_grid(config):
 
 
 def model_decoherence_spec(model_spec, particle):
-    """DecoherenceSpec carrying only the given collapse model's law."""
-    if model_spec.model is ModelId.DP:
+    """DecoherenceSpec carrying only the given collapse model's law.
+
+    CSL, QG and K are quadratic; DP saturates at the sphere radius and the
+    saturated K variant at one coherence cell.
+    """
+    model = model_spec.model
+    if model is ModelId.CSL:
         return DecoherenceSpec(
-            general_rate=model_rate_fn(ModelId.DP, particle),
-            general_breakpoints=(particle.radius,))
-    if model_spec.model is ModelId.K and model_spec.k_saturation:
-        cell = k_coherence_cell(particle)
+            quadratic_lambda=csl_lambda(particle, model_spec.csl))
+    if model is ModelId.QG:
         return DecoherenceSpec(
-            general_rate=model_rate_fn(ModelId.K, particle, k_saturation=True),
-            general_breakpoints=(cell,))
-    rate = model_rate_fn(model_spec.model, particle, params=model_spec.csl)
-    # quadratic laws expose their coefficient directly: rate(1) = Lambda
-    return DecoherenceSpec(quadratic_lambda=rate(1.0))
+            quadratic_lambda=qg_lambda(particle_mass(particle)))
+    if model is ModelId.K:
+        cell = k_coherence_cell(particle) if model_spec.k_saturation else math.inf
+        return DecoherenceSpec(quadratic_lambda=k_lambda(particle),
+                               saturation_separation=cell)
+    if model is ModelId.DP:
+        return DecoherenceSpec(quadratic_lambda=dp_lambda(particle),
+                               saturation_separation=particle.radius)
+    raise ValueError(f"unknown model {model!r}")
 
 
 def _ced_or_flag(spec, kin, errors, key):
@@ -175,19 +183,14 @@ def scenario_presets():
     }
 
 
-def _fmt(value):
-    # repr round-trips doubles exactly; csv readers get 'inf'/'nan' verbatim
-    return repr(float(value))
-
-
 def write_sweep_csv(rows, model_names, stream):
     header = ["radius_m", "mass_kg", "ced_qm_m"]
     header += [f"ced_{name}_m" for name in model_names]
     header += [f"violated_{name}" for name in model_names]
     stream.write(",".join(header) + "\n")
     for row in rows:
-        cells = [_fmt(row.radius), _fmt(row.mass), _fmt(row.ced_qm)]
-        cells += [_fmt(row.ced_model[name]) for name in model_names]
+        cells = [csv_cell(row.radius), csv_cell(row.mass), csv_cell(row.ced_qm)]
+        cells += [csv_cell(row.ced_model[name]) for name in model_names]
         cells += ["true" if row.violated[name] else "false"
                   for name in model_names]
         stream.write(",".join(cells) + "\n")
@@ -197,4 +200,4 @@ def write_intervals_csv(rows, model_names, stream):
     stream.write("model,r_lo_m,r_hi_m\n")
     for name in model_names:
         for lo, hi in violation_intervals(rows, name):
-            stream.write(f"{name},{_fmt(lo)},{_fmt(hi)}\n")
+            stream.write(f"{name},{csv_cell(lo)},{csv_cell(hi)}\n")

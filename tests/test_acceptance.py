@@ -16,11 +16,11 @@ from macrocoh import (DecoherenceSpec, ExpansionKinematics, altitude_window,
                       dilution_from_patch, dp_rate, emission_spectrum, gamma,
                       bb_emit_lambda, load_budgets, load_materials, local_gravity,
                       orbital_period, qm_channel_rates, solve_cet, steady_state)
-from macrocoh.collapse import CSL_DEFAULT, ModelId, model_rate_fn
 from macrocoh.expansion import gamma_quadrature
 from macrocoh.mission import OrbitElements
 from macrocoh.testability import (MODEL_PRESETS, SweepConfig, evaluate_radius,
-                                  scenario_presets, sweep, write_sweep_csv)
+                                  model_decoherence_spec, scenario_presets,
+                                  sweep, write_sweep_csv)
 from macrocoh.vacuum import MBAR
 
 
@@ -122,7 +122,7 @@ def test_criterion_6_solver_integrity():
     lams = rng.permutation(np.geomspace(1e6, 1e16, n))
     consts = rng.permutation(np.geomspace(1e-6, 1e1, n))
 
-    worst_gamma = worst_residual = worst_cubic = 0.0
+    worst_gamma = worst_residual = worst_quadrature = 0.0
     for x0, v_m, lam, const in zip(x0s, v_ms, lams, consts):
         kin = ExpansionKinematics(x0=float(x0), v_m=float(v_m))
         spec = DecoherenceSpec(quadratic_lambda=float(lam),
@@ -132,17 +132,18 @@ def test_criterion_6_solver_integrity():
             closed = gamma(tau, spec, kin)
             numeric = gamma_quadrature(tau, spec, kin)
             worst_gamma = max(worst_gamma, abs(numeric / closed - 1.0))
-        tau_bisect = solve_cet(spec, kin)
+        tau = solve_cet(spec, kin)
         worst_residual = max(worst_residual,
-                             abs(4.0 * gamma(tau_bisect, spec, kin) - 1.0))
-        worst_cubic = max(worst_cubic, abs(tau_bisect / tau_ref - 1.0))
+                             abs(4.0 * gamma(tau, spec, kin) - 1.0))
+        worst_quadrature = max(
+            worst_quadrature, abs(4.0 * gamma_quadrature(tau, spec, kin) - 1.0))
     elapsed = time.perf_counter() - t0
     ok = worst_gamma <= 1e-6 and worst_residual <= 1e-9 \
-        and worst_cubic <= 1e-8 and elapsed < 5.0
+        and worst_quadrature <= 1e-8 and elapsed < 5.0
     _verdict("criterion-6 solver-integrity", ok,
              f"closed-vs-quadrature {worst_gamma:.2e} (<=1e-6), "
              f"residual {worst_residual:.2e} (<=1e-9), "
-             f"cubic-vs-bisection {worst_cubic:.2e} (<=1e-8), "
+             f"4 Gamma(cet) = 1 by quadrature {worst_quadrature:.2e} (<=1e-8), "
              f"{elapsed:.2f} s (<5 s)")
 
 
@@ -154,12 +155,8 @@ def test_criterion_7_model_properties():
                    / dp_rate(baseline, baseline.radius) - 1.0)
 
     monotone = nonneg = zero_at_origin = True
-    fns = {
-        "csl": model_rate_fn(ModelId.CSL, baseline, params=CSL_DEFAULT),
-        "qg": model_rate_fn(ModelId.QG, baseline),
-        "k": model_rate_fn(ModelId.K, baseline),
-        "dp": model_rate_fn(ModelId.DP, baseline),
-    }
+    fns = {name: model_decoherence_spec(MODEL_PRESETS[name], baseline).rate
+           for name in ("csl", "qg", "k", "dp")}
     grid = [0.0] + [1e-12 * 10**k for k in range(9)]
     for fn in fns.values():
         values = [fn(dx) for dx in grid]

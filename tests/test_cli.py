@@ -2,10 +2,17 @@
 
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from macrocoh.cli import main
+from macrocoh.scenario import scenario_kinematics
+from macrocoh.testability import scenario_presets
 
 ZERO_SCENARIO = """\
 label: zero decoherence
@@ -41,6 +48,12 @@ trap:
   waist_um: 10.0
   internal_temperature_K: 98.0
 """
+
+
+# residual gas at zero temperature: no thermal velocity, undefined rate
+COLD_GAS_SCENARIO = ZERO_SCENARIO.replace("pressure_Pa: 0.0", "pressure_Pa: 1.0e-12")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_rows(path):
@@ -132,6 +145,53 @@ def test_testability_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_testability_default_run_finite_ced_in_former_bracketing_window(tmp_path, capsys):
+    # the K cell at r = 1.4906e-8 m has a CET of 7.77e8 s, below TAU_CAP;
+    # it used to be written as inf
+    out = tmp_path / "sweep.csv"
+    assert main(["testability", "--out", str(out)]) == 0
+    row = min(read_rows(out), key=lambda r: abs(float(r["radius_m"]) - 1.4906e-8))
+    assert float(row["radius_m"]) == pytest.approx(1.4906e-8, rel=1e-4)
+    ced_k = float(row["ced_k_m"])
+    assert math.isfinite(ced_k)
+    base = scenario_presets()["fig2_baseline"]
+    _, _, v_m = scenario_kinematics(base.with_radius(float(row["radius_m"])))
+    assert ced_k / v_m == pytest.approx(7.77e8, rel=1e-3)
+
+
+def test_testability_zero_temperature_with_gas_exit_2(tmp_path, capsys):
+    scenario = tmp_path / "cold.yaml"
+    scenario.write_text(COLD_GAS_SCENARIO)
+    out = tmp_path / "sweep.csv"
+    assert main(["testability", "--scenario", str(scenario), "--points", "3",
+                 "--out", str(out)]) == 2
+    assert f"{scenario}.environment.temperature_K" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_testability_and_reports_run_without_scipy(tmp_path):
+    # only the emission-spectrum quadrature needs scipy, and loads it then
+    script = f"""
+import sys
+import macrocoh.cli
+from macrocoh.cli import main
+out = {str(tmp_path)!r}
+assert main(["testability", "--models", "dp,k_sat", "--points", "8",
+             "--out", out + "/s.csv"]) == 0
+for command in ("decoherence-report", "vacuum-report", "mission-report"):
+    assert main([command, "--out", out + "/" + command + ".csv"]) == 0
+assert not any(m.split(".")[0] == "scipy" for m in sys.modules), "scipy loaded"
+from macrocoh import emission_spectrum, scenario_presets
+spectrum = emission_spectrum(scenario_presets()["fig2_baseline"].particle, 98.0)
+assert spectrum.emission_lambda() > 0.0
+assert "scipy" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_testability_unknown_model_exit_2(tmp_path, capsys):

@@ -7,7 +7,8 @@ import pytest
 from macrocoh import (CONSTANTS, CSL_ADLER, CSL_DEFAULT, ComplexPermittivity,
                       CslParams, ModelId, Particle, csl_lambda, csl_shape,
                       dp_lambda, dp_rate, k_coherence_cell, k_lambda,
-                      model_rate_fn, qg_lambda, particle_mass)
+                      qg_lambda, particle_mass)
+from macrocoh.testability import MODEL_PRESETS, ModelSpec, model_decoherence_spec
 
 
 def make_particle(radius=90e-9, density=2201.0):
@@ -178,17 +179,17 @@ def test_dp_rate_rejects_negative_separation():
         dp_rate(BASELINE, -1e-9)
 
 
-# ----------------------------------------------------------- rate adapter
+# ------------------------------------------------------ per-model laws
+
+def rate_fn(name, particle=BASELINE):
+    """Rate F(dx) in 1/s of a model preset, as the sweep builds it."""
+    return model_decoherence_spec(MODEL_PRESETS[name], particle).rate
+
 
 def test_rate_fn_zero_at_origin_and_nonnegative_monotone():
     separations = [0.0] + [1e-12 * 10**k for k in range(10)]
-    fns = {
-        "csl": model_rate_fn(ModelId.CSL, BASELINE, params=CSL_DEFAULT),
-        "qg": model_rate_fn(ModelId.QG, BASELINE),
-        "k": model_rate_fn(ModelId.K, BASELINE),
-        "k_sat": model_rate_fn(ModelId.K, BASELINE, k_saturation=True),
-        "dp": model_rate_fn(ModelId.DP, BASELINE),
-    }
+    fns = {name: rate_fn(name)
+           for name in ("csl", "csl_adler", "qg", "k", "k_sat", "dp")}
     for name, fn in fns.items():
         values = [fn(dx) for dx in separations]
         assert values[0] == 0.0, name
@@ -197,7 +198,7 @@ def test_rate_fn_zero_at_origin_and_nonnegative_monotone():
 
 
 def test_rate_fn_csl_matches_coefficient_pointwise():
-    fn = model_rate_fn(ModelId.CSL, BASELINE, params=CSL_DEFAULT)
+    fn = rate_fn("csl")
     coeff = csl_lambda(BASELINE, CSL_DEFAULT)
     for dx in (1e-12, 3e-9, 9e-8, 1e-6):
         assert fn(dx) == pytest.approx(coeff * dx**2, rel=1e-12)
@@ -207,18 +208,28 @@ def test_rate_fn_qg_single_nucleon_at_one_meter():
     radius = 1e-12
     density = CONSTANTS.m_nucleon / (4.0 / 3.0 * math.pi * radius**3)
     particle = make_particle(radius=radius, density=density)
-    fn = model_rate_fn(ModelId.QG, particle)
+    fn = rate_fn("qg", particle)
     assert fn(1.0) == pytest.approx(1.46286595785601e-2, rel=1e-9)
 
 
 def test_rate_fn_k_saturation_semantics():
     cell = k_coherence_cell(BASELINE)
     coeff = k_lambda(BASELINE)
-    fn = model_rate_fn(ModelId.K, BASELINE, k_saturation=True)
+    fn = rate_fn("k_sat")
     assert fn(0.5 * cell) == pytest.approx(coeff * (0.5 * cell) ** 2, rel=1e-12)
     assert fn(10.0 * cell) == pytest.approx(coeff * cell**2, rel=1e-12)
+    # the unsaturated K law keeps growing past the cell
+    assert rate_fn("k")(10.0 * cell) == pytest.approx(
+        coeff * (10.0 * cell) ** 2, rel=1e-12)
+
+
+def test_rate_fn_dp_saturates_at_the_radius_like_dp_rate():
+    fn = rate_fn("dp")
+    for factor in (0.0, 1e-3, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 1e3):
+        dx = factor * BASELINE.radius
+        assert fn(dx) == pytest.approx(dp_rate(BASELINE, dx), rel=1e-15, abs=0.0)
 
 
 def test_rate_fn_requires_csl_params():
     with pytest.raises(ValueError):
-        model_rate_fn(ModelId.CSL, BASELINE)
+        ModelSpec("csl", ModelId.CSL)

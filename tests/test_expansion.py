@@ -1,14 +1,15 @@
 """Expansion kinematics, accumulated decoherence, and the CET/CED solvers."""
 
 import math
+import random
 
 import pytest
 
 from macrocoh import (DecoherenceSpec, ExpansionKinematics,
                       InfiniteCoherenceError, ced, cet_closed_form, gamma,
                       sigma, solve_cet, visibility_factor)
-from macrocoh.expansion import gamma_quadrature
-from macrocoh.numerics import QuadratureError, bisect_increasing, quad_checked
+from macrocoh.expansion import TAU_CAP, gamma_quadrature
+from macrocoh.numerics import QuadratureError, quad_checked
 
 BASE_KIN = ExpansionKinematics(x0=3.5335810589322331e-12,
                                v_m=2.2202144591211091e-06)
@@ -62,32 +63,43 @@ def test_gamma_monotone_in_time():
 
 
 def test_gamma_general_component_via_quadrature():
-    # general law identical to a quadratic one must integrate to the same value
+    # general law identical to a quadratic one must integrate to the same
+    # value as the closed form; the closed forms refuse a general component
     lam = 2.5e14
     quad_spec = DecoherenceSpec(quadratic_lambda=lam)
     gen_spec = DecoherenceSpec(general_rate=lambda dx: lam * dx * dx)
     for tau in (1e-3, 0.05):
-        assert gamma(tau, gen_spec, BASE_KIN) == pytest.approx(
+        assert gamma_quadrature(tau, gen_spec, BASE_KIN) == pytest.approx(
             gamma(tau, quad_spec, BASE_KIN), rel=1e-8)
+    for closed_form in (lambda s: gamma(1e-3, s, BASE_KIN),
+                        lambda s: cet_closed_form(s, BASE_KIN),
+                        lambda s: solve_cet(s, BASE_KIN)):
+        with pytest.raises(ValueError):
+            closed_form(gen_spec)
 
 
 def test_dp_style_general_law_quadratic_fast_path():
-    # while 2 sigma(t) stays below the kink, the piecewise law is purely
-    # quadratic and the general-rate integral must match the closed form
+    # while 2 sigma(t) stays below the kink, the saturated law is purely
+    # quadratic and its exposure must match the unsaturated closed form
     kink = 1e-6
     lam = 4.47e10
-    piecewise = DecoherenceSpec(
-        general_rate=lambda dx: lam * (dx * dx if dx < kink else kink * kink),
-        general_breakpoints=(kink,))
+    piecewise = DecoherenceSpec(quadratic_lambda=lam, saturation_separation=kink)
     quadratic = DecoherenceSpec(quadratic_lambda=lam)
     tau_small = 0.9 * (0.5 * kink) / BASE_KIN.v_m  # 2 sigma(tau) < kink
     assert 2.0 * sigma(tau_small, BASE_KIN) < kink
-    assert gamma(tau_small, piecewise, BASE_KIN) == pytest.approx(
-        gamma(tau_small, quadratic, BASE_KIN), rel=1e-8)
-    # well beyond the kink the piecewise exposure falls below the quadratic one
+    assert gamma(tau_small, piecewise, BASE_KIN) == \
+        gamma(tau_small, quadratic, BASE_KIN)
+    # well beyond the kink the saturated exposure falls below the quadratic
+    # one, and equals the quadrature of the same law given as a general rate
     tau_large = 100.0 * kink / BASE_KIN.v_m
     assert gamma(tau_large, piecewise, BASE_KIN) < \
         gamma(tau_large, quadratic, BASE_KIN)
+    general = DecoherenceSpec(
+        general_rate=lambda dx: lam * (dx * dx if dx < kink else kink * kink),
+        general_breakpoints=(kink,))
+    for tau in (tau_small, tau_large):
+        assert gamma_quadrature(tau, general, BASE_KIN) == pytest.approx(
+            gamma(tau, piecewise, BASE_KIN), rel=1e-8)
 
 
 def test_spec_validation():
@@ -95,8 +107,16 @@ def test_spec_validation():
         DecoherenceSpec(quadratic_lambda=-1.0)
     with pytest.raises(ValueError):
         DecoherenceSpec(constant_rate=-0.5)
+    for bad in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError):
+            DecoherenceSpec(quadratic_lambda=1.0, saturation_separation=bad)
     assert DecoherenceSpec().is_null
+    assert DecoherenceSpec(saturation_separation=1e-9).is_null
     assert not DecoherenceSpec(constant_rate=1.0).is_null
+    spec = DecoherenceSpec(quadratic_lambda=2.0, constant_rate=0.5,
+                           saturation_separation=3.0)
+    assert spec.rate(1.0) == 2.5
+    assert spec.rate(3.0) == spec.rate(30.0) == 18.5
 
 
 # ------------------------------------------------------------------ solver
@@ -125,12 +145,49 @@ def test_cet_baseline_value():
         2.21793505125815e-2, rel=1e-12)
 
 
-def test_cet_bisection_residual_and_cubic_agreement():
+def test_cet_residual_and_quadrature_agreement():
     for lam, const in ((1e16, 0.0), (3.48e15, 0.0335), (1e5, 1e-3), (0.0, 0.25)):
         spec = DecoherenceSpec(quadratic_lambda=lam, constant_rate=const)
         tau = solve_cet(spec, BASE_KIN)
         assert abs(4.0 * gamma(tau, spec, BASE_KIN) - 1.0) <= 1e-9
-        assert tau == pytest.approx(cet_closed_form(spec, BASE_KIN), rel=1e-8)
+        assert 4.0 * gamma_quadrature(tau, spec, BASE_KIN) == pytest.approx(
+            1.0, rel=1e-8)
+
+
+def test_cet_closed_form_accurate_in_every_regime():
+    # 4 Gamma = A tau^3 + B tau is near-linear in tau at the root when B
+    # dominates; the root must keep full precision there too
+    rng = random.Random(11)
+    kin = ExpansionKinematics(x0=1.0, v_m=1.0)
+    for _ in range(500):
+        spec = DecoherenceSpec(quadratic_lambda=10.0 ** rng.uniform(-30, 30),
+                               constant_rate=10.0 ** rng.uniform(-30, 30))
+        tau = cet_closed_form(spec, kin)
+        assert abs(4.0 * gamma(tau, spec, kin) - 1.0) <= 1e-14
+
+
+def test_cet_constant_rate_in_the_former_bracketing_window():
+    # a root in (1e-12 * 2^69, TAU_CAP] s used to be reported as infinite
+    spec = DecoherenceSpec(constant_rate=1.0 / (4.0 * 7e8))
+    assert solve_cet(spec, BASE_KIN) == pytest.approx(7.0e8, rel=1e-15)
+
+
+def test_cet_cap_boundary():
+    just_below = DecoherenceSpec(constant_rate=1.0 / (4.0 * TAU_CAP * (1.0 - 1e-9)))
+    assert solve_cet(just_below, BASE_KIN) <= TAU_CAP
+    just_above = DecoherenceSpec(constant_rate=1.0 / (4.0 * TAU_CAP * (1.0 + 1e-9)))
+    assert cet_closed_form(just_above, BASE_KIN) > TAU_CAP
+    with pytest.raises(InfiniteCoherenceError):
+        solve_cet(just_above, BASE_KIN)
+
+
+def test_cet_tiny_root_is_a_root():
+    # a root below 1e-300 s used to come back as a non-root from a walk-down
+    spec = DecoherenceSpec(constant_rate=1e300)
+    kin = ExpansionKinematics(x0=1e-12, v_m=1e-6)
+    tau = solve_cet(spec, kin)
+    assert tau == pytest.approx(2.5e-301, rel=1e-15)
+    assert 4.0 * gamma(tau, spec, kin) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_cet_infinite_signals():
@@ -142,10 +199,17 @@ def test_cet_infinite_signals():
     feeble = DecoherenceSpec(constant_rate=1e-12)
     with pytest.raises(InfiniteCoherenceError):
         solve_cet(feeble, BASE_KIN)
-    # a general-rate component that never decoheres is also unbounded
-    silent = DecoherenceSpec(general_rate=lambda dx: 0.0)
+    # coefficients so small that the cubic or saturated terms underflow
+    for underflow in (DecoherenceSpec(quadratic_lambda=1e-320),
+                      DecoherenceSpec(quadratic_lambda=1e-310,
+                                      saturation_separation=1e-11)):
+        with pytest.raises(InfiniteCoherenceError):
+            solve_cet(underflow, BASE_KIN)
+    # a saturated law with nothing to saturate never decoheres either
+    silent = DecoherenceSpec(saturation_separation=1e-9)
     with pytest.raises(InfiniteCoherenceError):
         solve_cet(silent, BASE_KIN)
+    assert gamma(1e3, silent, BASE_KIN) == 0.0
 
 
 def test_cet_shrinks_with_more_decoherence():
@@ -189,6 +253,87 @@ def test_quad_checked_reports_failure_with_error_estimate():
     assert err.value.error_estimate is not None
 
 
-def test_bisect_increasing_basic():
-    root = bisect_increasing(lambda x: x**3 - 2.0, 0.0, 2.0, rel_tol=1e-13)
-    assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+def test_cet_closed_form_cubic_root_basic():
+    # x0 = v_m = 1 and Lambda = 3/32 give 4 Gamma = tau^3 / 2 + 3 tau / 2,
+    # so the CET is the real root of tau^3 + 3 tau - 2 = 0
+    spec = DecoherenceSpec(quadratic_lambda=3.0 / 32.0)
+    kin = ExpansionKinematics(x0=1.0, v_m=1.0)
+    root = (1.0 + math.sqrt(2.0)) ** (1.0 / 3.0) - (math.sqrt(2.0) - 1.0) ** (1.0 / 3.0)
+    assert cet_closed_form(spec, kin) == pytest.approx(root, rel=1e-12)
+    # without a ground-state width the root of the pure cubic is a cube root
+    narrow = ExpansionKinematics(x0=1e-200, v_m=1.0)
+    assert cet_closed_form(spec, narrow) == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+
+
+# ------------------------------------------------------- saturated laws
+
+def random_saturated_case(rng):
+    """A saturated law and kinematics; b spans b/2 <= x0 up to b >> x0."""
+    kin = ExpansionKinematics(x0=10.0 ** rng.uniform(-13, -10),
+                              v_m=10.0 ** rng.uniform(-9, -5))
+    spec = DecoherenceSpec(
+        quadratic_lambda=10.0 ** rng.uniform(8, 22),
+        constant_rate=rng.choice([0.0, 10.0 ** rng.uniform(-6, 0)]),
+        saturation_separation=2.0 * kin.x0 * 10.0 ** rng.uniform(-0.5, 4))
+    return spec, kin
+
+
+def saturation_time(spec, kin):
+    half = 0.5 * spec.saturation_separation
+    return math.sqrt(max(half**2 - kin.x0**2, 0.0)) / kin.v_m
+
+
+def as_general(spec):
+    """The same law as a general rate, integrated only by the quadrature."""
+    lam, b = spec.quadratic_lambda, spec.saturation_separation
+    return DecoherenceSpec(constant_rate=spec.constant_rate,
+                           general_rate=lambda dx: lam * min(dx, b) ** 2,
+                           general_breakpoints=(b,))
+
+
+def test_saturated_closed_form_matches_quadrature_oracle():
+    rng = random.Random(20261018)
+    cases = {"constant from the start": 0, "root on the cubic": 0,
+             "root on the linear tail": 0}
+    for _ in range(60):
+        spec, kin = random_saturated_case(rng)
+        t_b = saturation_time(spec, kin)
+        tau = cet_closed_form(spec, kin)
+        if t_b == 0.0:
+            cases["constant from the start"] += 1
+        elif tau <= t_b:
+            cases["root on the cubic"] += 1
+        else:
+            cases["root on the linear tail"] += 1
+        oracle = as_general(spec)
+        assert 4.0 * gamma_quadrature(tau, oracle, kin) == pytest.approx(
+            1.0, rel=1e-7)
+        for t in (0.3 * tau, 3.0 * tau, 0.5 * t_b, 2.0 * t_b):
+            if t > 0.0:
+                assert gamma(t, spec, kin) == pytest.approx(
+                    gamma_quadrature(t, oracle, kin), rel=1e-7)
+    assert min(cases.values()) >= 5, cases
+
+
+def test_saturated_gamma_continuous_at_saturation_and_increasing():
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(200):
+        spec, kin = random_saturated_case(rng)
+        t_b = saturation_time(spec, kin)
+        if t_b == 0.0:
+            continue
+        checked += 1
+        at = gamma(t_b, spec, kin)
+        # the rate is continuous at t_b, so Gamma is smooth to first order
+        slope = spec.rate(spec.saturation_separation)
+        for eps in (1e-9, 1e-6):
+            below = gamma(t_b * (1.0 - eps), spec, kin)
+            above = gamma(t_b * (1.0 + eps), spec, kin)
+            assert below < at < above
+            assert (at - below) == pytest.approx(slope * t_b * eps, rel=1e-3)
+            assert (above - at) == pytest.approx(slope * t_b * eps, rel=1e-3)
+        taus = [t_b * 2.0 ** k for k in range(-20, 21)]
+        values = [gamma(t, spec, kin) for t in taus]
+        assert all(a < b for a, b in zip(values, values[1:]))
+    assert checked >= 50
