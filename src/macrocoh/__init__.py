@@ -28,7 +28,8 @@ from .scenario import (ComplexPermittivity, Environment, Particle, Scenario,
                        ground_state_width, load_scenario, particle_mass,
                        scenario_kinematics)
 from .testability import (MODEL_PRESETS, ModelSpec, SweepConfig, SweepRow,
-                          scenario_presets, sweep, violation_intervals)
+                          SweepTable, load_preset, scenario_presets, sweep,
+                          violation_intervals)
 from .vacuum import (EmissionSummary, GasState, MaterialOutgassing,
                      OutgassingSpecies, arrhenius_residence, bake_out_power,
                      collision_rate, dilution_from_patch, dilution_from_sphere,

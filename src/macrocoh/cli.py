@@ -26,7 +26,7 @@ from .decoherence import qm_channel_rates
 from .expansion import ExpansionKinematics, InfiniteCoherenceError
 from .numerics import QuadratureError
 from .scenario import load_scenario, scenario_kinematics
-from .testability import (MODEL_PRESETS, SweepConfig, scenario_presets, sweep,
+from .testability import (MODEL_PRESETS, SweepConfig, load_preset, sweep,
                           violation_intervals, write_intervals_csv,
                           write_sweep_csv)
 
@@ -86,11 +86,7 @@ def write_manifest(command, inputs, outputs, parameters):
 def _resolve_scenario(args):
     if args.scenario is not None:
         return load_scenario(args.scenario), str(args.scenario)
-    presets = scenario_presets()
-    if args.preset not in presets:
-        raise ConfigError(
-            f"unknown preset {args.preset!r}; available: {sorted(presets)}")
-    return presets[args.preset], f"preset:{args.preset}"
+    return load_preset(args.preset), f"preset:{args.preset}"
 
 
 # ---------------------------------------------------------------- commands
@@ -156,15 +152,15 @@ def cmd_testability(args):
     config = SweepConfig(radius_min=args.radius_min, radius_max=args.radius_max,
                          points=args.points, grid=args.grid,
                          scenario=scenario, models=tuple(models))
-    rows = sweep(config)
+    table = sweep(config)
     names = [m.name for m in models]
 
     buf = io.StringIO()
-    write_sweep_csv(rows, names, buf)
+    write_sweep_csv(table, names, buf)
     atomic_write_text(args.out, buf.getvalue())
     intervals_out = args.intervals_out or str(args.out) + ".intervals.csv"
     buf = io.StringIO()
-    write_intervals_csv(rows, names, buf)
+    write_intervals_csv(table, names, buf)
     atomic_write_text(intervals_out, buf.getvalue())
     write_manifest("testability", [source], [args.out, intervals_out],
                    {"scenario": source, "radius_min": args.radius_min,
@@ -173,18 +169,18 @@ def cmd_testability(args):
                     "highlight_radius": args.highlight_radius})
 
     for name in names:
-        spans = violation_intervals(rows, name)
+        spans = violation_intervals(table, name)
         pretty = "; ".join(f"[{lo:.3e}, {hi:.3e}] m" for lo, hi in spans) or "none"
         print(f"{name}: violation intervals {pretty}")
-    nearest = min(rows, key=lambda row: abs(row.radius - args.highlight_radius))
+    nearest = table[min(range(len(table)), key=lambda i: abs(
+        table.radius[i] - args.highlight_radius))]
     marks = ", ".join(f"ced_{n}={nearest.ced_model[n]:.3e} m" for n in names)
     print(f"highlight r={nearest.radius:.3e} m: ced_qm={nearest.ced_qm:.3e} m, {marks}")
 
-    failed = [row for row in rows if row.errors]
-    for row in failed:
-        print(f"warning: r={row.radius:.3e} m: {row.errors}", file=sys.stderr)
+    for i, errors in table.errors.items():
+        print(f"warning: r={table.radius[i]:.3e} m: {errors}", file=sys.stderr)
     print(f"wrote {args.out} and {intervals_out}")
-    if failed and len(failed) == len(rows):
+    if table.errors and len(table.errors) == len(table):
         return 1
     return 0
 

@@ -4,7 +4,8 @@ Four models are covered: continuous spontaneous localization (CSL), the
 wormhole-based quantum-gravity model (QG), the metric-fluctuation model (K),
 and gravitational self-energy collapse (DP).  CSL, QG, and K are quadratic
 laws F = Lambda * dx^2; DP is quadratic below the sphere radius and saturates
-to a constant above it.
+to a constant above it.  Every coefficient also takes a particle whose radius
+is a column, one sphere per element (see `numerics`).
 """
 
 import enum
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import CONSTANTS
+from .numerics import any_true, exp, piecewise, power
 from .scenario import particle_mass
 
 
@@ -47,27 +49,31 @@ def csl_shape(x):
     f ~ 6/x^4 for large x.  Below x = 0.2 the bracket loses ~10 digits to
     cancellation, so a series expansion takes over there.
     """
-    if x < 0.0:
+    if any_true(x < 0.0):
         raise ValueError("x must be non-negative")
-    if x <= 0.2:
-        x2 = x * x
-        return (1.0 - x2 / 2.0 + 3.0 * x2**2 / 20.0 - x2**3 / 30.0
-                + x2**4 / 168.0)
-    x2 = x * x
-    return (6.0 / x2**2) * (1.0 - 2.0 / x2 + (1.0 + 2.0 / x2) * math.exp(-x2))
+    return piecewise(x <= 0.2, (x * x,), _csl_shape_series, _csl_shape_closed)
+
+
+def _csl_shape_series(x2):
+    return (1.0 - x2 / 2.0 + 3.0 * power(x2, 2) / 20.0 - power(x2, 3) / 30.0
+            + power(x2, 4) / 168.0)
+
+
+def _csl_shape_closed(x2):
+    return (6.0 / power(x2, 2)) * (1.0 - 2.0 / x2 + (1.0 + 2.0 / x2) * exp(-x2))
 
 
 def csl_lambda(particle, params=CSL_DEFAULT):
     """CSL decoherence coefficient m^2 lambda0 alpha f(sqrt(alpha) r) / (4 m0^2)."""
     mass = particle_mass(particle)
     shape = csl_shape(math.sqrt(params.alpha) * particle.radius)
-    return (mass**2 * params.lambda0 * params.alpha * shape
+    return (power(mass, 2) * params.lambda0 * params.alpha * shape
             / (4.0 * CONSTANTS.m_nucleon**2))
 
 
 def qg_lambda(mass):
     """QG decoherence coefficient, linear in mass: m c^4 m0^5 / (hbar^3 mP^3)."""
-    if mass < 0.0:
+    if any_true(mass < 0.0):
         raise ValueError("mass must be non-negative")
     return (mass * CONSTANTS.c**4 * CONSTANTS.m_nucleon**5
             / (CONSTANTS.hbar**3 * CONSTANTS.m_planck**3))
@@ -83,23 +89,31 @@ def k_coherence_cell(particle):
     """
     mass = particle_mass(particle)
     compton = CONSTANTS.hbar / (mass * CONSTANTS.c)
-    extended = (particle.radius / CONSTANTS.planck_length) ** (2.0 / 3.0) * compton
-    if particle.radius >= extended:
-        return extended
-    return (compton / CONSTANTS.planck_length) ** 2 * compton
+    extended = (power(particle.radius / CONSTANTS.planck_length, 2.0 / 3.0)
+                * compton)
+    return piecewise(particle.radius >= extended, (extended, compton),
+                     _extended_cell, _point_cell)
+
+
+def _extended_cell(extended, _):
+    return extended
+
+
+def _point_cell(_, compton):
+    return power(compton / CONSTANTS.planck_length, 2) * compton
 
 
 def k_lambda(particle):
     """K-model decoherence coefficient hbar / (8 m a_c^4)."""
     mass = particle_mass(particle)
     cell = k_coherence_cell(particle)
-    return CONSTANTS.hbar / (8.0 * mass * cell**4)
+    return CONSTANTS.hbar / (8.0 * mass * power(cell, 4))
 
 
 def dp_lambda(particle):
     """Small-separation DP coefficient 20 G rho^2 r^3 / hbar, 1/(m^2 s)."""
-    return (20.0 * CONSTANTS.G * particle.density**2 * particle.radius**3
-            / CONSTANTS.hbar)
+    return (20.0 * CONSTANTS.G * particle.density**2
+            * power(particle.radius, 3) / CONSTANTS.hbar)
 
 
 def dp_rate(particle, delta_x):

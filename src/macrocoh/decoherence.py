@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .constants import CONSTANTS
 from .expansion import DecoherenceSpec
-from .numerics import quad_checked
+from .numerics import any_true, power, quad_checked
 from .scenario import clausius_mossotti
 
 # Upper cutoff of the dimensionless photon energy x = hbar c k / (k_B T).
@@ -35,7 +35,8 @@ def gas_collision_rate(particle, env):
     if env.temperature == 0.0:
         raise ValueError("finite pressure at zero temperature is inconsistent")
     v_a = math.sqrt(3.0 * CONSTANTS.k_B * env.temperature / env.gas_particle_mass)
-    return (2.0 * math.sqrt(6.0 * math.pi) * particle.radius**2 * env.pressure
+    return (2.0 * math.sqrt(6.0 * math.pi) * power(particle.radius, 2)
+            * env.pressure
             / (env.gas_particle_mass * v_a))
 
 
@@ -43,7 +44,7 @@ def bb_scatter_lambda(particle, env):
     """Decoherence coefficient for scattering of thermal photons, 1/(m^2 s)."""
     cm_re = clausius_mossotti(particle.permittivity_bb).real
     theta = CONSTANTS.k_B * env.temperature / (CONSTANTS.c * CONSTANTS.hbar)
-    return (8.0 * math.factorial(8) * particle.radius**6 * CONSTANTS.c
+    return (8.0 * math.factorial(8) * power(particle.radius, 6) * CONSTANTS.c
             * CONSTANTS.zeta9 / (9.0 * math.pi) * theta**9 * cm_re**2)
 
 
@@ -53,7 +54,7 @@ def _bb_photon_lambda(particle, temperature):
         raise ValueError("temperature must be non-negative")
     cm_im = clausius_mossotti(particle.permittivity_bb).imag
     theta = CONSTANTS.k_B * temperature / (CONSTANTS.c * CONSTANTS.hbar)
-    return (16.0 * math.pi**5 * particle.radius**3 * CONSTANTS.c / 189.0
+    return (16.0 * math.pi**5 * power(particle.radius, 3) * CONSTANTS.c / 189.0
             * theta**6 * cm_im)
 
 
@@ -172,7 +173,7 @@ class ChannelRates:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if value < 0.0:
+            if any_true(value < 0.0):
                 raise ValueError(f"{name} must be non-negative")
 
     @property

@@ -16,13 +16,21 @@ coherent expansion time (CET) is the tau at which 4 Gamma(tau) = 1, i.e. the
 predicted fringe visibility exp(-4 Gamma) has dropped to 1/e; it is the root
 of the cubic, or the cubic branch at t_b followed by one linear step.  The
 coherent expansion distance is CED = v_m * CET.
+
+One code path solves a single law and a column of laws (one per sweep
+radius): the branches are `numerics.piecewise` choices and the powers, cube
+roots and hypot go through libm element by element, so `cet_or_inf` and
+`ced_or_inf` on columns equal `solve_cet` and `ced` on each element bit for
+bit.
 """
 
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
-from .numerics import cbrt, quad_checked
+from .numerics import (all_true, any_true, cbrt, hypot, isinf, piecewise,
+                       power, quad_checked, sqrt, where)
 
 # Expansion times beyond this are treated as unbounded coherence.
 TAU_CAP = 1e9  # s
@@ -38,8 +46,16 @@ class ExpansionKinematics:
     v_m: float  # m/s, spreading velocity
 
     def __post_init__(self):
-        if not (self.x0 > 0.0 and self.v_m > 0.0):
+        if not (all_true(self.x0 > 0.0) and all_true(self.v_m > 0.0)):
             raise ValueError("x0 and v_m must be positive")
+
+    @cached_property
+    def x0_sq(self):
+        return power(self.x0, 2)
+
+    @cached_property
+    def v_sq(self):
+        return power(self.v_m, 2)
 
 
 @dataclass(frozen=True)
@@ -49,10 +65,11 @@ class DecoherenceSpec:
     Total rate at separation dx:
         quadratic_lambda * min(dx, saturation_separation)^2 + constant_rate
         + general_rate(dx).
-    The closed forms (`gamma`, `cet_closed_form`, `solve_cet`) cover specs
-    without a general component.  The general component serves the
-    quadrature oracle `gamma_quadrature` only; `general_breakpoints` lists
-    separations where it has kinks.
+    The closed forms (`gamma`, `cet_closed_form`, `solve_cet`, `cet_or_inf`)
+    cover specs without a general component.  The general component serves
+    the quadrature oracle `gamma_quadrature` only; `general_breakpoints` lists
+    separations where it has kinks.  The three law fields may be columns, one
+    law per element, for `cet_or_inf` and `ced_or_inf`.
     """
 
     quadratic_lambda: float = 0.0           # 1/(m^2 s)
@@ -62,15 +79,17 @@ class DecoherenceSpec:
     general_breakpoints: tuple = ()
 
     def __post_init__(self):
-        if self.quadratic_lambda < 0.0 or self.constant_rate < 0.0:
+        if any_true(self.quadratic_lambda < 0.0) \
+                or any_true(self.constant_rate < 0.0):
             raise ValueError("decoherence components must be non-negative")
-        if not self.saturation_separation > 0.0:
+        if not all_true(self.saturation_separation > 0.0):
             raise ValueError("saturation separation must be positive")
 
     @property
     def is_null(self):
-        return (self.quadratic_lambda == 0.0 and self.constant_rate == 0.0
-                and self.general_rate is None)
+        """No decoherence at all; elementwise for a column law."""
+        return ((self.quadratic_lambda == 0.0) & (self.constant_rate == 0.0)
+                & (self.general_rate is None))
 
     def rate(self, separation):
         """Total decoherence rate (1/s) at the given separation (m)."""
@@ -94,19 +113,34 @@ def _require_closed_form(spec):
         raise ValueError("closed form does not cover a general rate component")
 
 
+def _infinite(*_):
+    return math.inf
+
+
 def _time_at_separation(separation, kin):
     """Time at which 2 sigma(t) reaches the separation: 0 when it starts
     there or beyond, inf for an infinite separation."""
     half = 0.5 * separation
-    if half <= kin.x0:
-        return 0.0
-    return math.sqrt(half**2 - kin.x0**2) / kin.v_m
+    return piecewise(half <= kin.x0, (half, kin.x0_sq, kin.v_m), _zero_time,
+                     _time_to_half)
 
 
-def _cubic_gamma(tau, spec, kin):
-    return (4.0 * spec.quadratic_lambda
-            * (kin.x0**2 * tau + kin.v_m**2 * tau**3 / 3.0)
-            + spec.constant_rate * tau)
+def _zero_time(*_):
+    return 0.0
+
+
+def _time_to_half(half, x0_sq, v_m):
+    return sqrt(power(half, 2) - x0_sq) / v_m
+
+
+def _cubic_gamma(tau, lam, f_c, x0_sq, v_sq):
+    return (4.0 * lam * (x0_sq * tau + v_sq * power(tau, 3) / 3.0)
+            + f_c * tau)
+
+
+def _saturated_rate(lam, f_c, b):
+    # the rate Lambda b^2 + F_c of every separation beyond b
+    return lam * power(b, 2) + f_c
 
 
 def gamma(tau, spec, kin):
@@ -118,11 +152,13 @@ def gamma(tau, spec, kin):
     if tau < 0.0:
         raise ValueError("expansion time must be non-negative")
     _require_closed_form(spec)
-    t_b = _time_at_separation(spec.saturation_separation, kin)
+    lam, f_c, b = (spec.quadratic_lambda, spec.constant_rate,
+                   spec.saturation_separation)
+    t_b = _time_at_separation(b, kin)
     if tau <= t_b:
-        return _cubic_gamma(tau, spec, kin)
-    saturated = spec.rate(spec.saturation_separation)
-    return _cubic_gamma(t_b, spec, kin) + saturated * (tau - t_b)
+        return _cubic_gamma(tau, lam, f_c, kin.x0_sq, kin.v_sq)
+    return (_cubic_gamma(t_b, lam, f_c, kin.x0_sq, kin.v_sq)
+            + _saturated_rate(lam, f_c, b) * (tau - t_b))
 
 
 def gamma_quadrature(tau, spec, kin):
@@ -144,39 +180,84 @@ def _cubic_root(a_cub, b_lin):
     u = sqrt(b_lin / (3 a_cub)) c it reduces to 3 / (b_lin (c^2 + 1 + c^-2)).
     Coefficients that underflowed to zero give an infinite root.
     """
-    if b_lin == 0.0:
-        return cbrt(1.0 / a_cub) if a_cub > 0.0 else math.inf
-    if a_cub == 0.0:
-        return 1.0 / b_lin
-    w = 1.5 / b_lin * math.sqrt(3.0 * a_cub / b_lin)
-    if math.isinf(w):   # the linear term is below double precision
-        return cbrt(1.0 / a_cub)
-    c = cbrt(w + math.hypot(1.0, w))
+    return piecewise(b_lin == 0.0, (a_cub, b_lin), _cube_root_only,
+                     _root_with_linear_term)
+
+
+def _cube_root_only(a_cub, _):
+    return piecewise(a_cub > 0.0, (a_cub,), _inverse_cube_root, _infinite)
+
+
+def _inverse_cube_root(a_cub, *_):
+    return cbrt(1.0 / a_cub)
+
+
+def _root_with_linear_term(a_cub, b_lin):
+    return piecewise(a_cub == 0.0, (a_cub, b_lin), _linear_root, _cardano_root)
+
+
+def _linear_root(_, b_lin):
+    return 1.0 / b_lin
+
+
+def _cardano_root(a_cub, b_lin):
+    w = 1.5 / b_lin * sqrt(3.0 * a_cub / b_lin)
+    # an infinite w means the linear term is below double precision
+    return piecewise(isinf(w), (a_cub, b_lin, w), _inverse_cube_root,
+                     _cardano_finite)
+
+
+def _cardano_finite(_, b_lin, w):
+    c = cbrt(w + hypot(1.0, w))
     return 3.0 / (b_lin * (c * c + 1.0 + 1.0 / (c * c)))
 
 
-def cet_closed_form(spec, kin):
-    """Analytic CET, without the TAU_CAP check.
+def _cubic_cet(lam, f_c, x0_sq, v_sq):
+    return _cubic_root(16.0 / 3.0 * lam * v_sq, 16.0 * lam * x0_sq + 4.0 * f_c)
+
+
+def _saturated_cet(_, lam, f_c, b, t_b, x0_sq, v_sq):
+    saturated = _saturated_rate(lam, f_c, b)
+    # a zero saturated rate means Lambda b^2 underflowed
+    return piecewise(saturated == 0.0,
+                     (saturated, lam, f_c, t_b, x0_sq, v_sq), _infinite,
+                     _linear_step)
+
+
+def _linear_step(saturated, lam, f_c, t_b, x0_sq, v_sq):
+    return t_b + (0.25 - _cubic_gamma(t_b, lam, f_c, x0_sq, v_sq)) / saturated
+
+
+def _keep_cubic(tau, *_):
+    return tau
+
+
+def _cet(spec, kin):
+    """The CET of every element, inf where the law is null.
 
     Below t_b, 4 Gamma = A tau^3 + B tau with A = (16/3) Lambda v_m^2 and
     B = 16 Lambda x0^2 + 4 F_c, so the CET is the positive root of the cubic
     when that root lies below t_b; otherwise 4 Gamma(t_b) < 1 and the CET
     follows from the linear growth after t_b.
     """
+    lam, f_c, b = (spec.quadratic_lambda, spec.constant_rate,
+                   spec.saturation_separation)
+    x0_sq, v_sq = kin.x0_sq, kin.v_sq
+    t_b = _time_at_separation(b, kin)
+    tau = piecewise(t_b > 0.0, (lam, f_c, x0_sq, v_sq), _cubic_cet, _infinite)
+    return piecewise(tau <= t_b, (tau, lam, f_c, b, t_b, x0_sq, v_sq),
+                     _keep_cubic, _saturated_cet)
+
+
+def cet_closed_form(spec, kin):
+    """Analytic CET, without the TAU_CAP check.
+
+    Raises InfiniteCoherenceError when the spec carries no decoherence.
+    """
     _require_closed_form(spec)
     if spec.is_null:
         raise InfiniteCoherenceError("no decoherence channels; coherence never decays")
-    t_b = _time_at_separation(spec.saturation_separation, kin)
-    if t_b > 0.0:
-        tau = _cubic_root(16.0 / 3.0 * spec.quadratic_lambda * kin.v_m**2,
-                          16.0 * spec.quadratic_lambda * kin.x0**2
-                          + 4.0 * spec.constant_rate)
-        if tau <= t_b:
-            return tau
-    saturated = spec.rate(spec.saturation_separation)
-    if saturated == 0.0:   # Lambda b^2 underflowed
-        return math.inf
-    return t_b + (0.25 - _cubic_gamma(t_b, spec, kin)) / saturated
+    return _cet(spec, kin)
 
 
 def solve_cet(spec, kin):
@@ -196,6 +277,21 @@ def solve_cet(spec, kin):
 def ced(spec, kin):
     """Coherent expansion distance v_m * CET in meters."""
     return kin.v_m * solve_cet(spec, kin)
+
+
+def cet_or_inf(spec, kin):
+    """`solve_cet` elementwise over column laws and kinematics, with inf
+    where it raises InfiniteCoherenceError (a null law, or a CET beyond
+    TAU_CAP); equal to it bit for bit elsewhere."""
+    _require_closed_form(spec)
+    tau = _cet(spec, kin)
+    return where(spec.is_null | (tau > TAU_CAP), math.inf, tau)
+
+
+def ced_or_inf(spec, kin):
+    """`ced` elementwise over column laws and kinematics, inf for infinite
+    coherence."""
+    return kin.v_m * cet_or_inf(spec, kin)
 
 
 VisibilityFactors = namedtuple("VisibilityFactors", ["amplitude", "visibility"])

@@ -1,12 +1,24 @@
-"""Checked adaptive quadrature and a signed real cube root.
+"""Checked adaptive quadrature, and elementwise maths over scalars or columns.
 
 `quad_checked` wraps scipy's QUADPACK routines and turns silent convergence
 warnings into exceptions carrying the achieved error estimate.  scipy is
 imported on the first call, so that code paths without quadrature (every
 closed-form solve) never pay for loading it.
+
+The helpers below let one formula serve a Python float and a column (a 1-D
+numpy array, e.g. one value per sweep radius) alike.  Their column results
+equal the float results bit for bit, element by element, under one rule:
+numpy does only + - * / and sqrt, which IEEE 754 rounds correctly and which
+therefore match Python's float arithmetic exactly; every other function
+(`power`, `exp`, `hypot`, `cbrt`) goes through libm element by element,
+because numpy's SIMD versions differ from libm in the last bit for a few per
+cent of inputs.  Branches go through `piecewise`, which runs each branch only
+on its own elements, as an if/else would.  numpy is imported only when a
+column is passed, so scalar callers never load it.
 """
 
 import math
+from itertools import repeat
 
 
 class QuadratureError(RuntimeError):
@@ -48,6 +60,101 @@ def quad_checked(fn, a, b, *, epsrel=1e-9, epsabs=0.0, points=None,
     return value, abserr
 
 
+_SCALAR_TYPES = frozenset((bool, int, float))
+
+
+def is_column(x):
+    """True for a 1-D array of values, False for a scalar."""
+    return type(x) not in _SCALAR_TYPES and getattr(x, "ndim", 0) > 0
+
+
+def all_true(cond):
+    """A comparison holds for every element (for the one, given a scalar)."""
+    return bool(cond.all()) if is_column(cond) else bool(cond)
+
+
+def any_true(cond):
+    """A comparison holds for some element (for the one, given a scalar)."""
+    return bool(cond.any()) if is_column(cond) else bool(cond)
+
+
+def _libm(fn, *args):
+    # fn element by element over Python floats; scalar arguments repeat
+    import numpy as np
+
+    size = next(len(a) for a in args if is_column(a))
+    return np.fromiter(
+        map(fn, *(a.tolist() if is_column(a) else repeat(a) for a in args)),
+        float, size)
+
+
+def power(x, exponent):
+    """x ** exponent by libm; raises OverflowError as float ** does."""
+    return _libm(pow, x, exponent) if is_column(x) else x ** exponent
+
+
+def exp(x):
+    return _libm(math.exp, x) if is_column(x) else math.exp(x)
+
+
+def hypot(x, y):
+    if is_column(x) or is_column(y):
+        return _libm(math.hypot, x, y)
+    return math.hypot(x, y)
+
+
+def sqrt(x):
+    """Square root; numpy's is correctly rounded, so columns skip libm."""
+    if is_column(x):
+        import numpy as np
+
+        return np.sqrt(x)
+    return math.sqrt(x)
+
+
 def cbrt(x):
-    """Real cube root with sign (math.cbrt only exists from Python 3.11)."""
+    """Real cube root with sign, as libm pow (math.cbrt only exists from
+    Python 3.11)."""
+    if is_column(x):
+        import numpy as np
+
+        return np.copysign(power(np.abs(x), 1.0 / 3.0), x)
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
+def isinf(x):
+    if is_column(x):
+        import numpy as np
+
+        return np.isinf(x)
+    return math.isinf(x)
+
+
+def where(cond, if_true, otherwise):
+    """Elementwise choice between two values already computed."""
+    if is_column(cond):
+        import numpy as np
+
+        return np.where(cond, if_true, otherwise)
+    return if_true if cond else otherwise
+
+
+def piecewise(cond, args, when_true, otherwise):
+    """`when_true(*args)` where cond holds and `otherwise(*args)` elsewhere.
+
+    For a scalar condition this is an if/else.  For a column each branch runs
+    only on the elements it is chosen for (column arguments are subset,
+    scalars passed as they are), so a branch never sees an input it does not
+    apply to, and raises or flags nothing for one.
+    """
+    if not is_column(cond):
+        return when_true(*args) if cond else otherwise(*args)
+    import numpy as np
+
+    out = np.empty(len(cond))
+    for mask, branch in ((cond, when_true), (~cond, otherwise)):
+        if mask.all():
+            out[:] = branch(*args)
+        elif mask.any():
+            out[mask] = branch(*(a[mask] if is_column(a) else a for a in args))
+    return out

@@ -8,9 +8,11 @@ the free-evolution width is sigma(t) = sqrt(x0^2 + v_m^2 t^2).
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import config
 from .constants import CONSTANTS
+from .numerics import all_true, power, sqrt
 
 # Typical mechanical frequency for a nanosphere in a ~10 um-waist optical
 # trap; a configuration input, not derivable from trap power alone.
@@ -40,10 +42,15 @@ class Particle:
     permittivity_bb: ComplexPermittivity    # spectrally constant thermal-band value
 
     def __post_init__(self):
-        if not self.radius > 0.0:
+        if not all_true(self.radius > 0.0):
             raise ValueError("particle radius must be positive")
         if not self.density > 0.0:
             raise ValueError("particle density must be positive")
+
+    @cached_property
+    def mass(self):
+        """Mass in kg of the homogeneous sphere, (4/3) pi r^3 rho."""
+        return 4.0 / 3.0 * math.pi * power(self.radius, 3) * self.density
 
 
 @dataclass(frozen=True)
@@ -89,20 +96,21 @@ class Scenario:
 
 
 def particle_mass(particle):
-    """Mass in kg of a homogeneous sphere, (4/3) pi r^3 rho."""
-    return 4.0 / 3.0 * math.pi * particle.radius**3 * particle.density
+    """Mass in kg of a homogeneous sphere, (4/3) pi r^3 rho; every law of a
+    particle shares one evaluation."""
+    return particle.mass
 
 
 def ground_state_width(mass, omega):
     """Ground-state extension sqrt(hbar / (2 m omega)) of a harmonic trap."""
-    if not (mass > 0.0 and omega > 0.0):
+    if not (all_true(mass > 0.0) and omega > 0.0):
         raise ValueError("mass and trap frequency must be positive")
-    return math.sqrt(CONSTANTS.hbar / (2.0 * mass * omega))
+    return sqrt(CONSTANTS.hbar / (2.0 * mass * omega))
 
 
 def expansion_velocity(mass, x0):
     """Spreading velocity hbar / (2 m x0) of the released Gaussian wave packet."""
-    if not (mass > 0.0 and x0 > 0.0):
+    if not (all_true(mass > 0.0) and all_true(x0 > 0.0)):
         raise ValueError("mass and ground-state width must be positive")
     return CONSTANTS.hbar / (2.0 * mass * x0)
 

@@ -6,19 +6,27 @@ collapse model; a model counts as violated at a radius when its CED falls
 short of the quantum-theory one, i.e. the model predicts collapse where
 quantum theory still predicts interference.  Contiguous violated runs form
 the testable radius intervals.
+
+The sweep works on columns.  The grid is one numpy array, set as the radius
+of the scenario's particle, and the same coefficient laws and closed-form
+CET that serve a single radius (`collapse`, `decoherence`, `expansion`) fill
+one column per law at once.  Every value equals the single-radius result bit
+for bit (`numerics` states the rule that makes it so), and the CSVs are
+written column by column.  A column that raises, or on which numpy flags a
+division by zero or an invalid operation, is solved again radius by radius
+with Python floats, so each failing cell gets its own message.  numpy is
+imported by the functions that build columns, never at module import.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
-import numpy as np
-
-from . import expansion
 from .collapse import (CSL_ADLER, CSL_DEFAULT, CslParams, ModelId, csl_lambda,
                        dp_lambda, k_coherence_cell, k_lambda, qg_lambda)
-from .config import csv_cell
+from .config import ConfigError, csv_cell
 from .decoherence import qm_channel_rates
-from .expansion import DecoherenceSpec, ExpansionKinematics, InfiniteCoherenceError
+from .expansion import DecoherenceSpec, ExpansionKinematics, ced_or_inf
 from .scenario import load_packaged_scenario, particle_mass, scenario_kinematics
 
 
@@ -52,7 +60,7 @@ class SweepConfig:
     radius_min: float
     radius_max: float
     points: int
-    scenario: object          # Scenario template; radius is overridden per row
+    scenario: object          # Scenario template; the grid replaces its radius
     models: tuple
     grid: str = "log"
 
@@ -70,20 +78,56 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One radius of a sweep; a view of a SweepTable row."""
+
     radius: float   # m
     mass: float     # kg
     ced_qm: float   # m; math.inf when coherence never decays
     ced_model: dict = field(default_factory=dict)   # name -> m (inf/nan allowed)
-    violated: dict = field(default_factory=dict)    # name -> bool
+    violated: dict = field(default_factory=dict)    # name -> bool, None if undecided
     errors: dict = field(default_factory=dict)      # name (or "qm") -> message
 
 
+@dataclass(frozen=True)
+class SweepTable:
+    """A solved sweep stored by column, rows in grid order.
+
+    Columns are lists of Python floats.  `violated[name]` holds True or
+    False per row, or None where either CED of the row is NaN: a failed cell
+    is undecided, never "not violated".  `errors` maps a row index to
+    {"qm" or model name: message}.  Indexing and iteration give SweepRow
+    views.
+    """
+
+    radius: list                  # m
+    mass: list                    # kg
+    ced_qm: list                  # m
+    ced_model: dict               # name -> column of CED (m)
+    violated: dict                # name -> column of True/False/None
+    errors: dict = field(default_factory=dict)
+
+    def __len__(self):
+        return len(self.radius)
+
+    def __getitem__(self, index):
+        i = range(len(self.radius))[index]
+        return SweepRow(
+            radius=self.radius[i], mass=self.mass[i], ced_qm=self.ced_qm[i],
+            ced_model={name: col[i] for name, col in self.ced_model.items()},
+            violated={name: col[i] for name, col in self.violated.items()},
+            errors=dict(self.errors.get(i, {})))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.radius)))
+
+
 def radius_grid(config):
+    """The sweep radii as a numpy column, ascending."""
+    import numpy as np
+
     if config.grid == "log":
-        values = np.geomspace(config.radius_min, config.radius_max, config.points)
-    else:
-        values = np.linspace(config.radius_min, config.radius_max, config.points)
-    return [float(r) for r in values]
+        return np.geomspace(config.radius_min, config.radius_max, config.points)
+    return np.linspace(config.radius_min, config.radius_max, config.points)
 
 
 def model_decoherence_spec(model_spec, particle):
@@ -109,63 +153,109 @@ def model_decoherence_spec(model_spec, particle):
     raise ValueError(f"unknown model {model!r}")
 
 
-def _ced_or_flag(spec, kin, errors, key):
+def _kinematics(scenario):
+    mass, x0, v_m = scenario_kinematics(scenario)
+    return mass, ExpansionKinematics(x0=x0, v_m=v_m)
+
+
+def _qm_ced(scenario, kin):
+    return ced_or_inf(qm_channel_rates(scenario).as_decoherence_spec(), kin)
+
+
+def _model_ced(model_spec, scenario, kin):
+    return ced_or_inf(model_decoherence_spec(model_spec, scenario.particle), kin)
+
+
+def _kinematics_column(column):
+    import numpy as np
+
     try:
-        return expansion.ced(spec, kin)
-    except InfiniteCoherenceError:
-        return math.inf
-    except Exception as exc:  # recorded per row, never aborts the sweep
-        errors[key] = str(exc)
-        return math.nan
+        return _kinematics(column)
+    except Exception:
+        # radius by radius, which raises what the first bad radius raises
+        # on its own, as a sweep row by row would
+        rows = [_kinematics(column.with_radius(r))
+                for r in column.particle.radius.tolist()]
+    return (np.array([mass for mass, _ in rows]),
+            ExpansionKinematics(x0=np.array([kin.x0 for _, kin in rows]),
+                                v_m=np.array([kin.v_m for _, kin in rows])))
+
+
+def _ced_column(cell, key, column, kin, errors):
+    """cell(scenario, kin) over the whole column, or radius by radius with
+    each failing cell's message recorded under `key` in `errors`."""
+    import numpy as np
+
+    radius = column.particle.radius
+    try:
+        return np.broadcast_to(cell(column, kin), radius.shape)
+    except Exception:
+        pass
+    values = []
+    rows = zip(radius.tolist(), kin.x0.tolist(), kin.v_m.tolist())
+    for i, (r, x0, v_m) in enumerate(rows):
+        try:
+            values.append(cell(column.with_radius(r),
+                               ExpansionKinematics(x0=x0, v_m=v_m)))
+        except Exception as exc:  # recorded per cell, never aborts the sweep
+            errors.setdefault(i, {})[key] = str(exc)
+            values.append(math.nan)
+    return np.array(values)
+
+
+def _violation_flags(ced_model, ced_qm):
+    import numpy as np
+
+    # inf model CED never violates; inf QM CED dominates any finite model
+    flags = (ced_model < ced_qm).tolist()
+    for i in np.flatnonzero(np.isnan(ced_model) | np.isnan(ced_qm)).tolist():
+        flags[i] = None
+    return flags
+
+
+def _solve(radii, scenario, models):
+    """SweepTable of the given radii, each law solved as one column."""
+    import numpy as np
+
+    column = scenario.with_radius(np.asarray(radii, dtype=float))
+    errors = {}
+    with np.errstate(divide="raise", invalid="raise", over="ignore",
+                     under="ignore"):
+        mass, kin = _kinematics_column(column)
+        ced_qm = _ced_column(_qm_ced, "qm", column, kin, errors)
+        ced = {spec.name: _ced_column(partial(_model_ced, spec), spec.name,
+                                      column, kin, errors)
+               for spec in models}
+    return SweepTable(
+        radius=column.particle.radius.tolist(), mass=mass.tolist(),
+        ced_qm=ced_qm.tolist(),
+        ced_model={name: values.tolist() for name, values in ced.items()},
+        violated={name: _violation_flags(values, ced_qm)
+                  for name, values in ced.items()},
+        errors=dict(sorted(errors.items())))
+
+
+def sweep(config):
+    """Evaluate every grid radius; a SweepTable in radius order."""
+    return _solve(radius_grid(config), config.scenario, config.models)
 
 
 def evaluate_radius(radius, scenario, models):
     """One sweep row: QM and per-model CED at a single radius."""
-    row_scenario = scenario.with_radius(radius)
-    mass, x0, v_m = scenario_kinematics(row_scenario)
-    kin = ExpansionKinematics(x0=x0, v_m=v_m)
-    errors = {}
-
-    try:
-        qm_spec = qm_channel_rates(row_scenario).as_decoherence_spec()
-        ced_qm = _ced_or_flag(qm_spec, kin, errors, "qm")
-    except Exception as exc:
-        errors["qm"] = str(exc)
-        ced_qm = math.nan
-
-    ced_model = {}
-    violated = {}
-    for model_spec in models:
-        try:
-            spec = model_decoherence_spec(model_spec, row_scenario.particle)
-            value = _ced_or_flag(spec, kin, errors, model_spec.name)
-        except Exception as exc:
-            errors[model_spec.name] = str(exc)
-            value = math.nan
-        ced_model[model_spec.name] = value
-        # inf model CED never violates; inf QM CED dominates any finite model
-        violated[model_spec.name] = value < ced_qm
-
-    return SweepRow(radius=radius, mass=mass, ced_qm=ced_qm,
-                    ced_model=ced_model, violated=violated, errors=errors)
+    return _solve([radius], scenario, models)[0]
 
 
-def sweep(config):
-    """Evaluate every grid radius; rows are returned ordered by radius."""
-    return [evaluate_radius(r, config.scenario, config.models)
-            for r in radius_grid(config)]
-
-
-def violation_intervals(rows, model_name):
-    """Maximal contiguous violated runs as (r_lo, r_hi) pairs at grid resolution."""
+def violation_intervals(table, model_name):
+    """Maximal contiguous violated runs as (r_lo, r_hi) pairs at grid
+    resolution; an undecided row ends a run like a non-violated one."""
     intervals = []
     start = None
     last = None
-    for row in rows:
-        if row.violated.get(model_name, False):
+    for radius, flag in zip(table.radius, table.violated[model_name]):
+        if flag:
             if start is None:
-                start = row.radius
-            last = row.radius
+                start = radius
+            last = radius
         elif start is not None:
             intervals.append((start, last))
             start = None
@@ -174,30 +264,46 @@ def violation_intervals(rows, model_name):
     return intervals
 
 
+PRESET_FILES = {
+    "fig2_baseline": "baseline_fig2.yaml",
+    "fig3_left": "fig3_left.yaml",
+    "fig3_right": "fig3_right.yaml",
+}
+
+
+def load_preset(name):
+    """One named scenario shipped with the package."""
+    if name not in PRESET_FILES:
+        raise ConfigError(
+            f"unknown preset {name!r}; available: {sorted(PRESET_FILES)}")
+    return load_packaged_scenario(PRESET_FILES[name])
+
+
 def scenario_presets():
     """Named scenarios shipped with the package."""
-    return {
-        "fig2_baseline": load_packaged_scenario("baseline_fig2.yaml"),
-        "fig3_left": load_packaged_scenario("fig3_left.yaml"),
-        "fig3_right": load_packaged_scenario("fig3_right.yaml"),
-    }
+    return {name: load_packaged_scenario(filename)
+            for name, filename in PRESET_FILES.items()}
 
 
-def write_sweep_csv(rows, model_names, stream):
+_FLAG_TEXT = {True: "true", False: "false", None: "nan"}
+
+
+def write_sweep_csv(table, model_names, stream):
+    """The sweep CSV, written column by column; floats as their repr."""
     header = ["radius_m", "mass_kg", "ced_qm_m"]
     header += [f"ced_{name}_m" for name in model_names]
     header += [f"violated_{name}" for name in model_names]
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        cells = [csv_cell(row.radius), csv_cell(row.mass), csv_cell(row.ced_qm)]
-        cells += [csv_cell(row.ced_model[name]) for name in model_names]
-        cells += ["true" if row.violated[name] else "false"
-                  for name in model_names]
-        stream.write(",".join(cells) + "\n")
+    floats = [table.radius, table.mass, table.ced_qm]
+    floats += [table.ced_model[name] for name in model_names]
+    cells = [map(repr, values) for values in floats]
+    cells += [map(_FLAG_TEXT.__getitem__, table.violated[name])
+              for name in model_names]
+    stream.writelines(line + "\n" for line in map(",".join, zip(*cells)))
 
 
-def write_intervals_csv(rows, model_names, stream):
+def write_intervals_csv(table, model_names, stream):
     stream.write("model,r_lo_m,r_hi_m\n")
     for name in model_names:
-        for lo, hi in violation_intervals(rows, name):
+        for lo, hi in violation_intervals(table, name):
             stream.write(f"{name},{csv_cell(lo)},{csv_cell(hi)}\n")

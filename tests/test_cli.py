@@ -1,6 +1,7 @@
 """Command-line interface: reports, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -105,6 +106,8 @@ def test_decoherence_report_missing_field_exit_2(tmp_path, capsys):
 def test_decoherence_report_unknown_preset_exit_2(tmp_path, capsys):
     assert main(["decoherence-report", "--preset", "nope",
                  "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "'nope'" in err and "available" in err and "fig3_right" in err
 
 
 def test_decoherence_report_deterministic_bytes(tmp_path):
@@ -172,17 +175,23 @@ def test_testability_zero_temperature_with_gas_exit_2(tmp_path, capsys):
 
 
 def test_testability_and_reports_run_without_scipy(tmp_path):
-    # only the emission-spectrum quadrature needs scipy, and loads it then
+    # only the emission-spectrum quadrature needs scipy, and loads it then;
+    # only the testability sweep needs numpy
     script = f"""
 import sys
 import macrocoh.cli
 from macrocoh.cli import main
+def loaded(package):
+    return any(m.split(".")[0] == package for m in sys.modules)
 out = {str(tmp_path)!r}
-assert main(["testability", "--models", "dp,k_sat", "--points", "8",
-             "--out", out + "/s.csv"]) == 0
+assert not loaded("numpy"), "numpy loaded by the import"
 for command in ("decoherence-report", "vacuum-report", "mission-report"):
     assert main([command, "--out", out + "/" + command + ".csv"]) == 0
-assert not any(m.split(".")[0] == "scipy" for m in sys.modules), "scipy loaded"
+assert not loaded("numpy"), "numpy loaded by a report"
+assert main(["testability", "--models", "dp,k_sat", "--points", "8",
+             "--out", out + "/s.csv"]) == 0
+assert loaded("numpy")
+assert not loaded("scipy"), "scipy loaded"
 from macrocoh import emission_spectrum, scenario_presets
 spectrum = emission_spectrum(scenario_presets()["fig2_baseline"].particle, 98.0)
 assert spectrum.emission_lambda() > 0.0
@@ -192,6 +201,31 @@ assert "scipy" in sys.modules
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_testability_failed_qm_cells_are_undecided(tmp_path, capsys, monkeypatch):
+    # a scenario built in code can skip the zero-temperature check of
+    # load_scenario; every QM cell then fails, and no flag may read "false"
+    base = scenario_presets()["fig2_baseline"]
+    cold = dataclasses.replace(
+        base, environment=dataclasses.replace(base.environment,
+                                              temperature=0.0))
+    assert cold.environment.pressure > 0.0
+    monkeypatch.setattr("macrocoh.cli.load_preset", lambda name: cold)
+    out = tmp_path / "sweep.csv"
+    intervals = tmp_path / "intervals.csv"
+    assert main(["testability", "--points", "4", "--models", "csl,k",
+                 "--out", str(out), "--intervals-out", str(intervals)]) == 1
+    rows = read_rows(out)
+    assert len(rows) == 4
+    for row in rows:
+        assert row["ced_qm_m"] == "nan"
+        assert float(row["ced_csl_m"]) > 0.0
+        assert row["violated_csl"] == row["violated_k"] == "nan"
+    assert read_rows(intervals) == []
+    err = capsys.readouterr().err
+    assert err.count("'qm': 'finite pressure at zero temperature "
+                     "is inconsistent'") == 4
 
 
 def test_testability_unknown_model_exit_2(tmp_path, capsys):

@@ -3,13 +3,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from macrocoh import (DecoherenceSpec, ExpansionKinematics,
                       InfiniteCoherenceError, ced, cet_closed_form, gamma,
                       sigma, solve_cet, visibility_factor)
-from macrocoh.expansion import TAU_CAP, gamma_quadrature
-from macrocoh.numerics import QuadratureError, quad_checked
+from macrocoh.expansion import (TAU_CAP, ced_or_inf, cet_or_inf,
+                                gamma_quadrature)
+from macrocoh.numerics import QuadratureError, piecewise, quad_checked
 
 BASE_KIN = ExpansionKinematics(x0=3.5335810589322331e-12,
                                v_m=2.2202144591211091e-06)
@@ -337,3 +341,84 @@ def test_saturated_gamma_continuous_at_saturation_and_increasing():
         values = [gamma(t, spec, kin) for t in taus]
         assert all(a < b for a, b in zip(values, values[1:]))
     assert checked >= 50
+
+
+# ------------------------------------------------------ column solves
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# (Lambda, F_c, b, x0, v_m); Lambda and F_c reach values whose products
+# underflow, b falls on either side of 2 x0
+LAWS = st.tuples(st.one_of(st.just(0.0), _decades(-330.0, 25.0)),
+                 st.one_of(st.just(0.0), _decades(-330.0, 5.0)),
+                 st.one_of(st.just(math.inf), _decades(-14.0, -4.0)),
+                 _decades(-13.0, -9.0),
+                 _decades(-10.0, -2.0))
+
+NAMED_CASES = [
+    (3.4759328117255e15, 3.35e-2, math.inf, 3.5e-12, 2.2e-6),  # cubic
+    (1e15, 0.0, 2e-10, 3.5e-12, 2.2e-6),       # cubic, then linear past t_b
+    (1e15, 1e-3, 1e-12, 3.5e-12, 2.2e-6),      # b/2 <= x0: constant rate
+    (1e-300, 0.0, math.inf, 1e-12, 1e-8),      # B underflows, A subnormal
+    (1e-320, 0.0, math.inf, 1e-12, 1e-8),      # both coefficients underflow
+    (1e-320, 0.0, 2e-10, 1e-12, 1e-8),         # saturated rate underflows
+    (0.0, 1.0 / (4.0 * 7e8), math.inf, 1e-12, 1e-6),  # CET 7e8 s < TAU_CAP
+    (0.0, 1.0 / (4.0 * 2e9), math.inf, 1e-12, 1e-6),  # CET 2e9 s > TAU_CAP
+    (0.0, 0.0, math.inf, 1e-12, 1e-6),         # null law
+    (0.0, 0.0, 2e-10, 1e-12, 1e-6),            # null saturated law
+    (1e10, 0.0, math.inf, 1e-160, 1e-5),       # w overflows: pure cube root
+]
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _assert_columns_match_scalars(laws):
+    lam, f_c, b, x0, v_m = (np.array(column) for column in zip(*laws))
+    spec = DecoherenceSpec(lam, f_c, b)
+    kin = ExpansionKinematics(x0, v_m)
+    with np.errstate(all="ignore"):
+        cets = cet_or_inf(spec, kin)
+        ceds = ced_or_inf(spec, kin)
+    for law, cet_column, ced_column in zip(laws, cets.tolist(), ceds.tolist()):
+        one_spec = DecoherenceSpec(*law[:3])
+        one_kin = ExpansionKinematics(*law[3:])
+        try:
+            cet_one = solve_cet(one_spec, one_kin)
+            ced_one = ced(one_spec, one_kin)
+        except InfiniteCoherenceError:
+            cet_one = ced_one = math.inf
+        assert _same(cet_column, cet_one), law
+        assert _same(ced_column, ced_one), law
+
+
+@given(st.lists(LAWS, min_size=1, max_size=25))
+@example(NAMED_CASES)
+def test_column_cet_equals_scalar_solve_bit_for_bit(laws):
+    _assert_columns_match_scalars(laws)
+
+
+def test_column_cet_equals_scalar_where_both_cubic_terms_matter():
+    # Cardano's w is near 1 here, where a numpy hypot differs from
+    # Python's in the last bit often enough to move a few roots
+    laws = [(1.78e12 * 10.0 ** (k / 600.0), 1.0, math.inf, 1e-12, 1e-6)
+            for k in range(-1800, 1800)]
+    _assert_columns_match_scalars(laws)
+
+
+def test_piecewise_runs_each_branch_on_its_own_elements():
+    x = np.array([0.0, 1.0, 4.0])
+    seen = []
+
+    def inverse(values):
+        seen.append(values.tolist())
+        return 1.0 / values
+
+    with np.errstate(divide="raise"):
+        out = piecewise(x > 0.0, (x,), inverse, lambda values: math.inf)
+    assert out.tolist() == [math.inf, 1.0, 0.25]
+    assert seen == [[1.0, 4.0]]
+    assert piecewise(0.0 > 0.0, (0.0,), inverse, lambda value: -1.0) == -1.0

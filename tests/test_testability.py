@@ -7,11 +7,15 @@ import random
 
 import pytest
 
-from macrocoh import (CONSTANTS, CslParams, Environment, ModelId, csl_lambda,
-                      qm_channel_rates)
-from macrocoh.testability import (MODEL_PRESETS, ModelSpec, SweepConfig,
-                                  SweepRow, evaluate_radius, radius_grid,
-                                  scenario_presets, sweep,
+from macrocoh import (CONSTANTS, CslParams, Environment,
+                      ExpansionKinematics, InfiniteCoherenceError, ModelId,
+                      csl_lambda, expansion, qm_channel_rates,
+                      scenario_kinematics)
+from macrocoh.config import ConfigError
+from macrocoh.testability import (MODEL_PRESETS, PRESET_FILES, ModelSpec,
+                                  SweepConfig, SweepTable, evaluate_radius,
+                                  load_preset, model_decoherence_spec,
+                                  radius_grid, scenario_presets, sweep,
                                   violation_intervals, write_intervals_csv,
                                   write_sweep_csv)
 
@@ -64,12 +68,78 @@ def test_sweep_is_a_pure_map_under_permutation():
     config = SweepConfig(radius_min=2e-8, radius_max=4e-7, points=8,
                          scenario=BASELINE, models=models)
     ordered = sweep(config)
-    grid = radius_grid(config)
-    shuffled = grid[:]
+    shuffled = radius_grid(config).tolist()
     random.Random(7).shuffle(shuffled)
     recomputed = sorted((evaluate_radius(r, BASELINE, models)
                          for r in shuffled), key=lambda row: row.radius)
-    assert recomputed == ordered
+    assert recomputed == list(ordered)
+
+
+def _ced_alone(spec, kin):
+    try:
+        return expansion.ced(spec, kin)
+    except InfiniteCoherenceError:
+        return math.inf
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_FILES))
+def test_sweep_cells_equal_single_radius_solves(preset):
+    # every column cell is bit for bit the scalar solve of its own radius
+    scenario = load_preset(preset)
+    models = tuple(MODEL_PRESETS.values())
+    table = sweep(SweepConfig(radius_min=1e-8, radius_max=5e-7, points=500,
+                              scenario=scenario, models=models))
+    for i, radius in enumerate(table.radius):
+        row = scenario.with_radius(radius)
+        mass, x0, v_m = scenario_kinematics(row)
+        kin = ExpansionKinematics(x0=x0, v_m=v_m)
+        assert table.mass[i] == mass
+        assert table.ced_qm[i] == _ced_alone(
+            qm_channel_rates(row).as_decoherence_spec(), kin)
+        for model in models:
+            assert table.ced_model[model.name][i] == _ced_alone(
+                model_decoherence_spec(model, row.particle), kin), \
+                (model.name, radius)
+
+
+def test_failing_cells_keep_their_messages_and_stay_undecided():
+    # far beyond physical radii K divides by an underflowed cell and r^6
+    # overflows: each failing cell is solved alone for its own message, the
+    # other cells keep their values, and a NaN cell is never "not violated"
+    models = (MODEL_PRESETS["csl"], MODEL_PRESETS["k"], MODEL_PRESETS["dp"])
+    table = sweep(SweepConfig(radius_min=1e-7, radius_max=1e60, points=7,
+                              scenario=BASELINE, models=models))
+    assert list(table.errors) == [3, 4, 5, 6]
+    assert table.errors[3] == {"k": "float division by zero"}
+    assert list(table.errors[6]) == ["qm", "csl", "k"]
+    assert math.isnan(table.ced_qm[5]) and "qm" not in table.errors[5]
+    for name in ("csl", "k", "dp"):
+        cells = zip(table.ced_model[name], table.ced_qm, table.violated[name])
+        for ced_model, ced_qm, flag in cells:
+            if math.isnan(ced_model) or math.isnan(ced_qm):
+                assert flag is None
+            else:
+                assert flag is (ced_model < ced_qm)
+    assert violation_intervals(table, "k") == [(table.radius[1],
+                                                table.radius[2])]
+    alone = evaluate_radius(table.radius[4], BASELINE, models)
+    assert alone.errors == table.errors[4]
+    assert alone.ced_model["dp"] == table.ced_model["dp"][4]
+
+
+def test_kinematics_failure_is_that_of_the_first_bad_radius():
+    # the smallest radius has zero mass; the largest overflows r^3, which
+    # the column meets first, yet the error is the one a row-by-row sweep
+    # stops at
+    with pytest.raises(ValueError, match="mass and trap frequency"):
+        sweep(SweepConfig(radius_min=1e-110, radius_max=1e110, points=3,
+                          scenario=BASELINE, models=()))
+
+
+def test_load_preset_reads_one_file_and_names_the_others():
+    assert load_preset("fig3_left") == scenario_presets()["fig3_left"]
+    with pytest.raises(ConfigError, match="available: .*fig3_right"):
+        load_preset("nope")
 
 
 def test_violation_antisymmetry_under_stronger_model():
@@ -83,20 +153,25 @@ def test_violation_antisymmetry_under_stronger_model():
             assert boosted.violated["csl"]
 
 
-def _rows_from_pattern(pattern, name="m"):
-    rows = []
-    for k, flag in enumerate(pattern):
-        radius = float(k + 1)  # abstract grid units
-        rows.append(SweepRow(radius=radius, mass=1.0, ced_qm=1.0,
-                             ced_model={name: 0.5 if flag else 2.0},
-                             violated={name: flag}, errors={}))
-    return rows
+def _table_from_patterns(**patterns):
+    # abstract grid units; None marks an undecided (NaN) cell
+    size = len(next(iter(patterns.values())))
+    ced = {True: 0.5, False: 2.0, None: math.nan}
+    return SweepTable(radius=[float(k + 1) for k in range(size)],
+                      mass=[1.0] * size, ced_qm=[1.0] * size,
+                      ced_model={name: [ced[flag] for flag in flags]
+                                 for name, flags in patterns.items()},
+                      violated={name: list(flags)
+                                for name, flags in patterns.items()})
 
 
 def test_violation_intervals_run_length_logic():
-    assert violation_intervals(_rows_from_pattern([False, False]), "m") == []
-    rows = _rows_from_pattern([False, True, True, False, True])
+    assert violation_intervals(_table_from_patterns(m=[False, False]), "m") == []
+    rows = _table_from_patterns(m=[False, True, True, False, True])
     assert violation_intervals(rows, "m") == [(2.0, 3.0), (5.0, 5.0)]
+    # an undecided row breaks a run as a non-violated one does
+    undecided = _table_from_patterns(m=[True, None, True, True])
+    assert violation_intervals(undecided, "m") == [(1.0, 1.0), (3.0, 4.0)]
     # idempotent and covering exactly the violated rows
     spans = violation_intervals(rows, "m")
     covered = [row.radius for row in rows
@@ -106,14 +181,8 @@ def test_violation_intervals_run_length_logic():
 
 def test_interval_intersection_semantics_across_models():
     # joint testability of two models = rows where both are violated
-    rows = []
-    pattern_a = [False, True, True, True, False]
-    pattern_b = [False, False, True, True, True]
-    for k, (fa, fb) in enumerate(zip(pattern_a, pattern_b)):
-        radius = float(k + 1)
-        rows.append(SweepRow(radius=radius, mass=1.0, ced_qm=1.0,
-                             ced_model={"a": 0.0, "b": 0.0},
-                             violated={"a": fa, "b": fb}, errors={}))
+    rows = _table_from_patterns(a=[False, True, True, True, False],
+                                b=[False, False, True, True, True])
     spans_a = violation_intervals(rows, "a")
     spans_b = violation_intervals(rows, "b")
     both = [row.radius for row in rows
