@@ -1,9 +1,11 @@
 """Command-line surface: batch analysis reports as deterministic CSV files.
 
 Commands: decoherence-report, testability, vacuum-report, mission-report.
-Every output file gets a sidecar <name>.manifest.json recording the resolved
-inputs that produced it; timestamps live only in the manifest so repeated
-runs produce byte-identical data files.
+Each imports the modules it needs when it runs, so building the parser loads
+none and the reports never load the sweep modules or numpy.  Every output
+file gets a sidecar <name>.manifest.json recording the resolved inputs that
+produced it; timestamps live only in the manifest so repeated runs produce
+byte-identical data files.
 
 Exit codes: 0 success, 1 computation failure or budget mismatch warning,
 2 input validation failure.
@@ -16,43 +18,12 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, expansion, mission, vacuum
+from . import __version__
 from .config import ConfigError, csv_cell
-from .decoherence import qm_channel_rates
-from .expansion import ExpansionKinematics, InfiniteCoherenceError
 from .numerics import QuadratureError
-from .scenario import load_scenario, scenario_kinematics
-from .testability import (MODEL_PRESETS, SweepConfig, load_preset, sweep,
-                          violation_intervals, write_intervals_csv,
-                          write_sweep_csv)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record pairing an output with its resolved inputs."""
-
-    command: str
-    tool_version: str
-    created_utc: str
-    inputs: tuple
-    outputs: tuple
-    parameters: dict
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "command": self.command,
-                "tool_version": self.tool_version,
-                "created_utc": self.created_utc,
-                "inputs": list(self.inputs),
-                "outputs": list(self.outputs),
-                "parameters": self.parameters,
-            },
-            indent=2, sort_keys=True) + "\n"
 
 
 def atomic_write_text(path, text):
@@ -71,31 +42,37 @@ def atomic_write_text(path, text):
 
 
 def write_manifest(command, inputs, outputs, parameters):
-    manifest = RunManifest(
-        command=command,
-        tool_version=__version__,
-        created_utc=datetime.now(timezone.utc).isoformat(),
-        inputs=tuple(str(p) for p in inputs),
-        outputs=tuple(str(p) for p in outputs),
-        parameters=parameters,
-    )
+    """Provenance sidecar <out>.manifest.json pairing each output with its
+    resolved inputs."""
+    manifest = json.dumps(
+        {"command": command, "tool_version": __version__,
+         "created_utc": datetime.now(timezone.utc).isoformat(),
+         "inputs": [str(p) for p in inputs],
+         "outputs": [str(p) for p in outputs], "parameters": parameters},
+        indent=2, sort_keys=True) + "\n"
     for out in outputs:
-        atomic_write_text(str(out) + ".manifest.json", manifest.to_json())
+        atomic_write_text(str(out) + ".manifest.json", manifest)
 
 
 def _resolve_scenario(args):
+    from . import scenario
+
     if args.scenario is not None:
-        return load_scenario(args.scenario), str(args.scenario)
-    return load_preset(args.preset), f"preset:{args.preset}"
+        return scenario.load_scenario(args.scenario), str(args.scenario)
+    return scenario.load_preset(args.preset), f"preset:{args.preset}"
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_decoherence_report(args):
+    from . import expansion
+    from .decoherence import qm_channel_rates
+    from .scenario import scenario_kinematics
+
     scenario, source = _resolve_scenario(args)
     mass, x0, v_m = scenario_kinematics(scenario)
-    kin = ExpansionKinematics(x0=x0, v_m=v_m)
+    kin = expansion.ExpansionKinematics(x0=x0, v_m=v_m)
     rates = qm_channel_rates(scenario)
     spec = rates.as_decoherence_spec()
     try:
@@ -103,7 +80,7 @@ def cmd_decoherence_report(args):
         ced = v_m * cet
         factors = expansion.visibility_factor(expansion.gamma(cet, spec, kin))
         amplitude, visibility = factors.amplitude, factors.visibility
-    except InfiniteCoherenceError:
+    except expansion.InfiniteCoherenceError:
         cet = ced = math.inf
         amplitude = visibility = math.nan
 
@@ -135,32 +112,37 @@ def cmd_decoherence_report(args):
     return 0
 
 
-def _parse_models(spec_text):
+def _parse_models(spec_text, presets):
     names = [name.strip() for name in spec_text.split(",") if name.strip()]
     if not names:
         raise ConfigError("--models: empty model list")
-    unknown = [n for n in names if n not in MODEL_PRESETS]
+    unknown = [n for n in names if n not in presets]
     if unknown:
         raise ConfigError(
-            f"--models: unknown {unknown}; available: {sorted(MODEL_PRESETS)}")
-    return [MODEL_PRESETS[n] for n in names]
+            f"--models: unknown {unknown}; available: {sorted(presets)}")
+    return [presets[n] for n in names]
 
 
 def cmd_testability(args):
+    from . import testability
+
     scenario, source = _resolve_scenario(args)
-    models = _parse_models(args.models)
-    config = SweepConfig(radius_min=args.radius_min, radius_max=args.radius_max,
-                         points=args.points, grid=args.grid,
-                         scenario=scenario, models=tuple(models))
-    table = sweep(config)
+    models = _parse_models(args.models, testability.MODEL_PRESETS)
+    config = testability.SweepConfig(
+        radius_min=args.radius_min, radius_max=args.radius_max,
+        points=args.points, grid=args.grid, scenario=scenario,
+        models=tuple(models))
+    table = testability.sweep(config)
     names = [m.name for m in models]
+    intervals = {name: testability.violation_intervals(table, name)
+                 for name in names}
 
     buf = io.StringIO()
-    write_sweep_csv(table, names, buf)
+    testability.write_sweep_csv(table, names, buf)
     atomic_write_text(args.out, buf.getvalue())
     intervals_out = args.intervals_out or str(args.out) + ".intervals.csv"
     buf = io.StringIO()
-    write_intervals_csv(table, names, buf)
+    testability.write_intervals_csv(intervals, buf)
     atomic_write_text(intervals_out, buf.getvalue())
     write_manifest("testability", [source], [args.out, intervals_out],
                    {"scenario": source, "radius_min": args.radius_min,
@@ -168,8 +150,7 @@ def cmd_testability(args):
                     "grid": args.grid, "models": names,
                     "highlight_radius": args.highlight_radius})
 
-    for name in names:
-        spans = violation_intervals(table, name)
+    for name, spans in intervals.items():
         pretty = "; ".join(f"[{lo:.3e}, {hi:.3e}] m" for lo, hi in spans) or "none"
         print(f"{name}: violation intervals {pretty}")
     nearest = table[min(range(len(table)), key=lambda i: abs(
@@ -186,6 +167,8 @@ def cmd_testability(args):
 
 
 def cmd_vacuum_report(args):
+    from . import vacuum
+
     if args.time < 0.0:
         raise ConfigError("--time: must be non-negative")
     temperature, _, summaries = vacuum.load_materials(args.materials)
@@ -251,6 +234,8 @@ def cmd_vacuum_report(args):
 
 
 def cmd_mission_report(args):
+    from . import mission
+
     orbit, doc = mission.load_orbit(args.orbit)
     targets = doc.get("targets") or {}
     thrusters = doc.get("thrusters") or {}
@@ -353,7 +338,8 @@ def build_parser():
     testa.add_argument("--points", type=int, default=50)
     testa.add_argument("--grid", choices=("log", "linear"), default="log")
     testa.add_argument("--models", default="csl,qg,k,dp",
-                       help=f"comma list from {sorted(MODEL_PRESETS)}")
+                       help="comma-separated collapse models "
+                            "(default %(default)s)")
     testa.add_argument("--highlight-radius", type=float, default=9e-8,
                        help="radius in m whose row is echoed to stdout")
     testa.add_argument("--out", type=Path, required=True, help="sweep CSV")

@@ -113,7 +113,7 @@ def k_lambda(particle):
 def dp_lambda(particle):
     """Small-separation DP coefficient 20 G rho^2 r^3 / hbar, 1/(m^2 s)."""
     return (20.0 * CONSTANTS.G * particle.density**2
-            * power(particle.radius, 3) / CONSTANTS.hbar)
+            * particle.radius_cubed / CONSTANTS.hbar)
 
 
 def dp_rate(particle, delta_x):

@@ -2,12 +2,15 @@
 
 All quantities live in SI units internally; conversions happen here, at the
 I/O boundary, driven by unit-suffixed key names (pressure_mbar, radius_nm,
-apogee_altitude_km, residence_time_h, ...).
+apogee_altitude_km, residence_time_h, ...).  libyaml parses YAML when PyYAML
+has it; both parsers feed the same safe constructors and give equal mappings.
 """
 
 from importlib import resources
 
 import yaml
+
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class ConfigError(ValueError):
@@ -18,27 +21,30 @@ def load_yaml(path):
     """Parse a YAML file into a mapping, with line diagnostics on bad syntax."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            return _mapping(fh, path)
     except FileNotFoundError:
         raise ConfigError(f"{path}: file not found") from None
+
+
+def load_document(path, *packaged):
+    """(mapping, source name) of the YAML file at `path`, or, when path is
+    None, of the file shipped under macrocoh/data/ at `packaged`."""
+    if path is not None:
+        return load_yaml(path), str(path)
+    source = f"<packaged {'/'.join(packaged)}>"
+    data = resources.files(__package__).joinpath("data", *packaged)
+    return _mapping(data.read_text(encoding="utf-8"), source), source
+
+
+def _mapping(stream, source):
+    try:
+        doc = yaml.load(stream, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ConfigError(f"{path}: malformed YAML{where}: {exc}") from None
+        raise ConfigError(f"{source}: malformed YAML{where}: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    return doc
-
-
-def packaged_data(*parts):
-    """Traversable handle on a file shipped under macrocoh/data/."""
-    return resources.files(__package__).joinpath("data", *parts)
-
-
-def load_packaged_yaml(*parts):
-    doc = yaml.safe_load(packaged_data(*parts).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ConfigError(f"packaged {'/'.join(parts)}: top level must be a mapping")
+        raise ConfigError(f"{source}: top level must be a mapping")
     return doc
 
 

@@ -54,7 +54,7 @@ def _bb_photon_lambda(particle, temperature):
         raise ValueError("temperature must be non-negative")
     cm_im = clausius_mossotti(particle.permittivity_bb).imag
     theta = CONSTANTS.k_B * temperature / (CONSTANTS.c * CONSTANTS.hbar)
-    return (16.0 * math.pi**5 * power(particle.radius, 3) * CONSTANTS.c / 189.0
+    return (16.0 * math.pi**5 * particle.radius_cubed * CONSTANTS.c / 189.0
             * theta**6 * cm_im)
 
 

@@ -202,13 +202,14 @@ def _linear_root(_, b_lin):
 
 def _cardano_root(a_cub, b_lin):
     w = 1.5 / b_lin * sqrt(3.0 * a_cub / b_lin)
-    # an infinite w means the linear term is below double precision
-    return piecewise(isinf(w), (a_cub, b_lin, w), _inverse_cube_root,
+    w_sum = w + hypot(1.0, w)
+    # w + hypot(1, w) = inf: the linear term is below double precision
+    return piecewise(isinf(w_sum), (a_cub, b_lin, w_sum), _inverse_cube_root,
                      _cardano_finite)
 
 
-def _cardano_finite(_, b_lin, w):
-    c = cbrt(w + hypot(1.0, w))
+def _cardano_finite(_, b_lin, w_sum):
+    c = cbrt(w_sum)
     return 3.0 / (b_lin * (c * c + 1.0 + 1.0 / (c * c)))
 
 

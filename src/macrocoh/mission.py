@@ -184,12 +184,7 @@ def budget_check(ledger):
 
 def load_orbit(path=None):
     """Load orbit elements plus the report target figures; returns (orbit, doc)."""
-    if path is None:
-        doc = config.load_packaged_yaml("orbit_heo.yaml")
-        source = "<packaged orbit_heo.yaml>"
-    else:
-        doc = config.load_yaml(path)
-        source = str(path)
+    doc, source = config.load_document(path, "orbit_heo.yaml")
     orbit = OrbitElements(
         apogee_altitude=config.quantity(
             doc, source, {"apogee_altitude_m": 1.0, "apogee_altitude_km": 1e3}),
@@ -219,12 +214,7 @@ def _ledger_from_mapping(name, doc, path):
 
 def load_budgets(path=None):
     """Load budget ledgers keyed by name."""
-    if path is None:
-        doc = config.load_packaged_yaml("budgets.yaml")
-        source = "<packaged budgets.yaml>"
-    else:
-        doc = config.load_yaml(path)
-        source = str(path)
+    doc, source = config.load_document(path, "budgets.yaml")
     ledgers = {}
     for group in ("mass_budgets", "power_budgets"):
         for name, entry in config.section(doc, group, source).items():

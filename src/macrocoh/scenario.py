@@ -48,9 +48,14 @@ class Particle:
             raise ValueError("particle density must be positive")
 
     @cached_property
+    def radius_cubed(self):
+        """r^3 in m^3, one libm pass per particle (or radius column)."""
+        return power(self.radius, 3)
+
+    @cached_property
     def mass(self):
         """Mass in kg of the homogeneous sphere, (4/3) pi r^3 rho."""
-        return 4.0 / 3.0 * math.pi * power(self.radius, 3) * self.density
+        return 4.0 / 3.0 * math.pi * self.radius_cubed * self.density
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,22 @@ def load_scenario(path):
     return scenario_from_mapping(config.load_yaml(path), source=str(path))
 
 
-def load_packaged_scenario(filename):
-    doc = config.load_packaged_yaml("scenarios", filename)
-    return scenario_from_mapping(doc, source=f"<packaged {filename}>")
+PRESET_FILES = {
+    "fig2_baseline": "baseline_fig2.yaml",
+    "fig3_left": "fig3_left.yaml",
+    "fig3_right": "fig3_right.yaml",
+}
+
+
+def load_preset(name):
+    """One named scenario shipped with the package."""
+    if name not in PRESET_FILES:
+        raise config.ConfigError(
+            f"unknown preset {name!r}; available: {sorted(PRESET_FILES)}")
+    doc, source = config.load_document(None, "scenarios", PRESET_FILES[name])
+    return scenario_from_mapping(doc, source=source)
+
+
+def scenario_presets():
+    """Named scenarios shipped with the package."""
+    return {name: load_preset(name) for name in PRESET_FILES}

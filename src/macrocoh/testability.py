@@ -24,10 +24,11 @@ from functools import partial
 
 from .collapse import (CSL_ADLER, CSL_DEFAULT, CslParams, ModelId, csl_lambda,
                        dp_lambda, k_coherence_cell, k_lambda, qg_lambda)
-from .config import ConfigError, csv_cell
+from .config import csv_cell
 from .decoherence import qm_channel_rates
 from .expansion import DecoherenceSpec, ExpansionKinematics, ced_or_inf
-from .scenario import load_packaged_scenario, particle_mass, scenario_kinematics
+from .scenario import (PRESET_FILES, load_preset, particle_mass,  # noqa: F401
+                       scenario_kinematics, scenario_presets)
 
 
 @dataclass(frozen=True)
@@ -264,27 +265,6 @@ def violation_intervals(table, model_name):
     return intervals
 
 
-PRESET_FILES = {
-    "fig2_baseline": "baseline_fig2.yaml",
-    "fig3_left": "fig3_left.yaml",
-    "fig3_right": "fig3_right.yaml",
-}
-
-
-def load_preset(name):
-    """One named scenario shipped with the package."""
-    if name not in PRESET_FILES:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {sorted(PRESET_FILES)}")
-    return load_packaged_scenario(PRESET_FILES[name])
-
-
-def scenario_presets():
-    """Named scenarios shipped with the package."""
-    return {name: load_packaged_scenario(filename)
-            for name, filename in PRESET_FILES.items()}
-
-
 _FLAG_TEXT = {True: "true", False: "false", None: "nan"}
 
 
@@ -302,8 +282,9 @@ def write_sweep_csv(table, model_names, stream):
     stream.writelines(line + "\n" for line in map(",".join, zip(*cells)))
 
 
-def write_intervals_csv(table, model_names, stream):
+def write_intervals_csv(intervals, stream):
+    """The intervals CSV of {model name: violation_intervals(...)}."""
     stream.write("model,r_lo_m,r_hi_m\n")
-    for name in model_names:
-        for lo, hi in violation_intervals(table, name):
+    for name, spans in intervals.items():
+        for lo, hi in spans:
             stream.write(f"{name},{csv_cell(lo)},{csv_cell(hi)}\n")

@@ -218,12 +218,7 @@ def _summary_from_mapping(name, doc, path):
 
 def load_materials(path=None):
     """Load material presets; returns (temperature_K, species dict, summary dict)."""
-    if path is None:
-        doc = config.load_packaged_yaml("materials.yaml")
-        source = "<packaged materials.yaml>"
-    else:
-        doc = config.load_yaml(path)
-        source = str(path)
+    doc, source = config.load_document(path, "materials.yaml")
     temperature = config.number(doc, "temperature_K", source)
     species = {
         name: _material_from_mapping(name, entry, f"{source}.species_table.{name}")

@@ -211,7 +211,8 @@ def test_testability_failed_qm_cells_are_undecided(tmp_path, capsys, monkeypatch
         base, environment=dataclasses.replace(base.environment,
                                               temperature=0.0))
     assert cold.environment.pressure > 0.0
-    monkeypatch.setattr("macrocoh.cli.load_preset", lambda name: cold)
+    # the CLI resolves presets through the scenario module at call time
+    monkeypatch.setattr("macrocoh.scenario.load_preset", lambda name: cold)
     out = tmp_path / "sweep.csv"
     intervals = tmp_path / "intervals.csv"
     assert main(["testability", "--points", "4", "--models", "csl,k",

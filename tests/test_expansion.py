@@ -194,6 +194,21 @@ def test_cet_tiny_root_is_a_root():
     assert 4.0 * gamma(tau, spec, kin) == pytest.approx(1.0, rel=1e-15)
 
 
+def test_cet_where_cardano_sum_overflows():
+    # A = 1 and B = 8.7e-206 give a finite Cardano w ~ 1.0e308 whose
+    # w + hypot(1, w) overflows; the CET used to come back as 0
+    spec = DecoherenceSpec(quadratic_lambda=3.0 / 16.0)
+    kin = ExpansionKinematics(x0=math.sqrt(8.7e-206 / 3.0), v_m=1.0)
+    tau = solve_cet(spec, kin)
+    assert tau == pytest.approx(1.0, rel=1e-12)
+    assert 4.0 * gamma(tau, spec, kin) == pytest.approx(1.0, rel=1e-12)
+    with np.errstate(divide="raise", invalid="raise", over="ignore"):
+        column = cet_or_inf(DecoherenceSpec(np.array([3.0 / 16.0] * 2)),
+                            ExpansionKinematics(np.array([kin.x0] * 2),
+                                                np.array([1.0, 1.0])))
+    assert column.tolist() == [tau, tau]
+
+
 def test_cet_infinite_signals():
     with pytest.raises(InfiniteCoherenceError):
         solve_cet(DecoherenceSpec(), BASE_KIN)
@@ -369,6 +384,7 @@ NAMED_CASES = [
     (0.0, 0.0, math.inf, 1e-12, 1e-6),         # null law
     (0.0, 0.0, 2e-10, 1e-12, 1e-6),            # null saturated law
     (1e10, 0.0, math.inf, 1e-160, 1e-5),       # w overflows: pure cube root
+    (3.0 / 16.0, 0.0, math.inf, math.sqrt(8.7e-206 / 3.0), 1.0),  # w + hypot overflows
 ]
 
 

@@ -264,5 +264,6 @@ def test_csv_round_trip_precision_and_layout():
     assert first[5] in ("true", "false")
 
     buf = io.StringIO()
-    write_intervals_csv(rows, ["csl", "k"], buf)
+    write_intervals_csv({name: violation_intervals(rows, name)
+                         for name in ("csl", "k")}, buf)
     assert buf.getvalue().splitlines()[0] == "model,r_lo_m,r_hi_m"
