@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 computation failure or budget mismatch warning,
 """
 
 import argparse
+import bisect
+import functools
 import io
 import json
 import math
@@ -26,10 +28,23 @@ from .config import ConfigError, csv_cell
 from .numerics import QuadratureError
 
 
+def prepare_output(path):
+    """Make the folder of an output file; a ConfigError naming the file when
+    that fails or the file is a directory."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"{path}: cannot make its folder: {exc.strerror}") from None
+    if path.is_dir():
+        raise ConfigError(f"{path}: is a directory")
+    return path
+
+
 def atomic_write_text(path, text):
     """Write via a temp file in the target directory plus rename."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = prepare_output(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
@@ -137,10 +152,11 @@ def cmd_testability(args):
     intervals = {name: testability.violation_intervals(table, name)
                  for name in names}
 
+    intervals_out = args.intervals_out or str(args.out) + ".intervals.csv"
+    prepare_output(intervals_out)  # fails before the sweep CSV is written
     buf = io.StringIO()
     testability.write_sweep_csv(table, names, buf)
     atomic_write_text(args.out, buf.getvalue())
-    intervals_out = args.intervals_out or str(args.out) + ".intervals.csv"
     buf = io.StringIO()
     testability.write_intervals_csv(intervals, buf)
     atomic_write_text(intervals_out, buf.getvalue())
@@ -153,8 +169,7 @@ def cmd_testability(args):
     for name, spans in intervals.items():
         pretty = "; ".join(f"[{lo:.3e}, {hi:.3e}] m" for lo, hi in spans) or "none"
         print(f"{name}: violation intervals {pretty}")
-    nearest = table[min(range(len(table)), key=lambda i: abs(
-        table.radius[i] - args.highlight_radius))]
+    nearest = table[nearest_index(table.radius, args.highlight_radius)]
     marks = ", ".join(f"ced_{n}={nearest.ced_model[n]:.3e} m" for n in names)
     print(f"highlight r={nearest.radius:.3e} m: ced_qm={nearest.ced_qm:.3e} m, {marks}")
 
@@ -164,6 +179,25 @@ def cmd_testability(args):
     if table.errors and len(table.errors) == len(table):
         return 1
     return 0
+
+
+def nearest_index(ascending, target):
+    """Index of the value nearest to target in an ascending list, the lowest
+    one on a tie: the index min(range(n), key=distance) gives, by bisection.
+
+    Distances fall towards target from below and grow from above it, so the
+    nearest values lie at the end of the run below target or at the first
+    value not below it.
+    """
+    def below(x):  # minus the distance; ascending up to target
+        return -abs(x - target)
+
+    i = bisect.bisect_left(ascending, target)
+    if i == len(ascending) or (i and below(ascending[i - 1])
+                               >= below(ascending[i])):
+        return bisect.bisect_left(ascending, below(ascending[i - 1]), 0, i,
+                                  key=below)
+    return i
 
 
 def cmd_vacuum_report(args):
@@ -381,12 +415,21 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on the first main() call, not at import, and reused: parsing
+    # (--help and usage errors included) leaves a parser as it was
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, TypeError) as exc:

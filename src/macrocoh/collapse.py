@@ -103,10 +103,12 @@ def _point_cell(_, compton):
     return power(compton / CONSTANTS.planck_length, 2) * compton
 
 
-def k_lambda(particle):
-    """K-model decoherence coefficient hbar / (8 m a_c^4)."""
+def k_lambda(particle, cell=None):
+    """K-model decoherence coefficient hbar / (8 m a_c^4); pass the coherence
+    cell when it is already at hand."""
     mass = particle_mass(particle)
-    cell = k_coherence_cell(particle)
+    if cell is None:
+        cell = k_coherence_cell(particle)
     return CONSTANTS.hbar / (8.0 * mass * power(cell, 4))
 
 

@@ -24,6 +24,8 @@ def load_yaml(path):
             return _mapping(fh, path)
     except FileNotFoundError:
         raise ConfigError(f"{path}: file not found") from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
 
 
 def load_document(path, *packaged):

@@ -77,16 +77,20 @@ class EmissionSpectrum:
     """Photon-emission spectrum of a heated dielectric sphere.
 
     rate_density(k) is the emitted-photon rate per wavenumber,
-        R(k) = (3 V k^3 c / pi) * Im[(eps-1)/(eps+2)] / (exp(hbar c k / k_B T) - 1),
-    integrated by adaptive quadrature in the dimensionless variable
-    x = hbar c k / (k_B T) so node placement is temperature independent.
+        R(k) = (3 V k^3 c / pi^2) * Im[(eps-1)/(eps+2)] / (exp(hbar c k / k_B T) - 1),
+    c times the absorption cross-section 3 V k Im(cm) times the thermal
+    photon density per wavenumber k^2 / (pi^2 (exp(x) - 1)) of both
+    polarisations.  Its moments are integrated by adaptive quadrature in the
+    dimensionless variable x = hbar c k / (k_B T) so node placement is
+    temperature independent; the second makes emission_lambda() equal to
+    bb_emit_lambda, as integral x^5 / (e^x - 1) dx = 120 zeta(6) = 8 pi^6 / 63.
     localization_factor(dr) is the single-photon coherence survival factor
         F(dr) = (1/R_tot) * integral dk R(k) sinc(k dr),
     equal to 1 at dr = 0 and decaying with separation.
     """
 
     temperature: float        # K
-    prefactor: float          # 3 V c Im(cm) / pi, units m^4/s
+    prefactor: float          # 3 V c Im(cm) / pi^2, units m^4/s
     wavenumber_scale: float   # k_B T / (hbar c), 1/m
     planck_integral: float    # measured integral of x^3/(e^x - 1)
     total_rate: float         # 1/s
@@ -143,7 +147,7 @@ def emission_spectrum(particle, internal_temperature):
         raise ValueError("internal temperature must be positive")
     volume = 4.0 / 3.0 * math.pi * particle.radius**3
     cm_im = clausius_mossotti(particle.permittivity_bb).imag
-    prefactor = 3.0 * volume * CONSTANTS.c * cm_im / math.pi
+    prefactor = 3.0 * volume * CONSTANTS.c * cm_im / math.pi**2
     theta = (CONSTANTS.k_B * internal_temperature
              / (CONSTANTS.hbar * CONSTANTS.c))
     planck3_value, planck3_err = quad_checked(_planck3, 0.0, PLANCK_CUTOFF)

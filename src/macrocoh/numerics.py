@@ -68,14 +68,21 @@ def is_column(x):
     return type(x) not in _SCALAR_TYPES and getattr(x, "ndim", 0) > 0
 
 
+def _count(cond):
+    # elements that hold, by one count: cheaper than a reduction ufunc
+    import numpy as np
+
+    return int(np.count_nonzero(cond))
+
+
 def all_true(cond):
     """A comparison holds for every element (for the one, given a scalar)."""
-    return bool(cond.all()) if is_column(cond) else bool(cond)
+    return _count(cond) == len(cond) if is_column(cond) else bool(cond)
 
 
 def any_true(cond):
     """A comparison holds for some element (for the one, given a scalar)."""
-    return bool(cond.any()) if is_column(cond) else bool(cond)
+    return _count(cond) > 0 if is_column(cond) else bool(cond)
 
 
 def _libm(fn, *args):
@@ -151,10 +158,21 @@ def piecewise(cond, args, when_true, otherwise):
         return when_true(*args) if cond else otherwise(*args)
     import numpy as np
 
-    out = np.empty(len(cond))
-    for mask, branch in ((cond, when_true), (~cond, otherwise)):
-        if mask.all():
-            out[:] = branch(*args)
-        elif mask.any():
-            out[mask] = branch(*(a[mask] if is_column(a) else a for a in args))
+    size = len(cond)
+    hits = _count(cond)
+    out = np.empty(size)
+    # an empty column runs both branches on empty arguments
+    if hits == size:
+        out[:] = when_true(*args)
+    elif hits:
+        out[cond] = when_true(*_subset(args, cond))
+    if hits == 0:
+        out[:] = otherwise(*args)
+    elif hits < size:
+        rest = ~cond
+        out[rest] = otherwise(*_subset(args, rest))
     return out
+
+
+def _subset(args, mask):
+    return (a[mask] if is_column(a) else a for a in args)

@@ -145,9 +145,10 @@ def model_decoherence_spec(model_spec, particle):
         return DecoherenceSpec(
             quadratic_lambda=qg_lambda(particle_mass(particle)))
     if model is ModelId.K:
-        cell = k_coherence_cell(particle) if model_spec.k_saturation else math.inf
-        return DecoherenceSpec(quadratic_lambda=k_lambda(particle),
-                               saturation_separation=cell)
+        cell = k_coherence_cell(particle)
+        return DecoherenceSpec(
+            quadratic_lambda=k_lambda(particle, cell),
+            saturation_separation=cell if model_spec.k_saturation else math.inf)
     if model is ModelId.DP:
         return DecoherenceSpec(quadratic_lambda=dp_lambda(particle),
                                saturation_separation=particle.radius)
@@ -204,13 +205,23 @@ def _ced_column(cell, key, column, kin, errors):
     return np.array(values)
 
 
-def _violation_flags(ced_model, ced_qm):
+# the message of a NaN CED whose cell raised nothing
+SILENT_NAN = "CED is NaN: a non-finite intermediate value, nothing raised"
+
+
+def _violation_flags(name, ced_model, ced_qm, errors):
+    """Flags of one model, None where either CED is NaN; a NaN CED whose cell
+    recorded no message gets SILENT_NAN in `errors`."""
     import numpy as np
 
     # inf model CED never violates; inf QM CED dominates any finite model
     flags = (ced_model < ced_qm).tolist()
     for i in np.flatnonzero(np.isnan(ced_model) | np.isnan(ced_qm)).tolist():
         flags[i] = None
+        cell = errors.setdefault(i, {})
+        for key, value in (("qm", ced_qm[i]), (name, ced_model[i])):
+            if math.isnan(value):
+                cell.setdefault(key, SILENT_NAN)
     return flags
 
 
@@ -227,13 +238,16 @@ def _solve(radii, scenario, models):
         ced = {spec.name: _ced_column(partial(_model_ced, spec), spec.name,
                                       column, kin, errors)
                for spec in models}
+    violated = {name: _violation_flags(name, values, ced_qm, errors)
+                for name, values in ced.items()}
+    keys = ["qm", *ced]
     return SweepTable(
         radius=column.particle.radius.tolist(), mass=mass.tolist(),
         ced_qm=ced_qm.tolist(),
         ced_model={name: values.tolist() for name, values in ced.items()},
-        violated={name: _violation_flags(values, ced_qm)
-                  for name, values in ced.items()},
-        errors=dict(sorted(errors.items())))
+        violated=violated,
+        errors={i: {key: cell[key] for key in keys if key in cell}
+                for i, cell in sorted(errors.items())})
 
 
 def sweep(config):

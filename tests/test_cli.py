@@ -5,13 +5,14 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from macrocoh.cli import main
+from macrocoh.cli import main, nearest_index
 from macrocoh.scenario import scenario_kinematics
 from macrocoh.testability import scenario_presets
 
@@ -337,3 +338,156 @@ def test_csv_headers_declare_units(tmp_path):
     assert mission.read_text().splitlines()[0] == "quantity,computed,target,unit"
     vac_header = vac.read_text().splitlines()[0]
     assert "gamma0_per_m2_s" in vac_header and "pressure_mbar" in vac_header
+
+
+# ------------------------------------------------------ bad paths
+
+@pytest.mark.parametrize("command, flag", [
+    ("decoherence-report", "--scenario"), ("testability", "--scenario"),
+    ("vacuum-report", "--materials"), ("mission-report", "--orbit"),
+    ("mission-report", "--budgets")])
+def test_input_path_that_is_a_directory_exit_2(tmp_path, capsys, command, flag):
+    folder = tmp_path / "inputs"
+    folder.mkdir()
+    out = tmp_path / "out.csv"
+    assert main([command, flag, str(folder), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {folder}: cannot read")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inputs"]
+
+
+@pytest.mark.parametrize("command", ["decoherence-report", "testability",
+                                     "vacuum-report", "mission-report"])
+def test_output_under_a_file_exit_2(tmp_path, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a folder\n")
+    out = blocker / "sub" / "out.csv"
+    assert main([command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # testability names its intervals file <out>.intervals.csv, made first
+    assert err.startswith(f"error: {out}") and "cannot make its folder" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+    assert blocker.read_text() == "not a folder\n"
+
+
+@pytest.mark.parametrize("intervals", ["blocker/intervals.csv", "folder"])
+def test_bad_intervals_path_writes_no_sweep(tmp_path, capsys, intervals):
+    (tmp_path / "blocker").write_text("")
+    (tmp_path / "folder").mkdir()
+    assert main(["testability", "--points", "4", "--out",
+                 str(tmp_path / "sweep.csv"), "--intervals-out",
+                 str(tmp_path / intervals)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {tmp_path / intervals}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "folder"]
+    assert list((tmp_path / "folder").iterdir()) == []
+
+
+def test_output_that_is_a_directory_exit_2(tmp_path, capsys):
+    assert main(["vacuum-report", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# ------------------------------------------------------ highlight row
+
+def test_highlight_row_is_the_nearest_lowest_on_a_tie():
+    grid = [1.0, 2.0, 3.0, 3.0, 5.0]
+    cases = {1.5: 0, 2.5: 1, 4.0: 2, 3.0: 2, 0.0: 0, 9.0: 4, -math.inf: 0,
+             math.inf: 0, math.nan: 0}
+    for target, index in cases.items():
+        assert nearest_index(grid, target) == index, target
+    # both distances round to 1.0: the lower index, as min() gives
+    assert nearest_index([1e-30, 2e-30], 1.0) == 0
+
+
+def test_highlight_row_equals_min_over_distances():
+    rng = random.Random(7)
+    for _ in range(2000):
+        grid = sorted(rng.choice([rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-40, 3),
+                                  float(rng.randint(0, 6))])
+                      for _ in range(rng.randint(1, 12)))
+        target = rng.choice([rng.uniform(-4.0, 4.0), float(rng.randint(-1, 7)) / 2.0,
+                             10.0 ** rng.uniform(-40, 3), rng.choice(grid)])
+        expected = min(range(len(grid)), key=lambda i: abs(grid[i] - target))
+        assert nearest_index(grid, target) == expected, (grid, target)
+
+
+def test_testability_highlight_tie_echoes_the_lower_radius(tmp_path, capsys):
+    # a linear grid 1e-7, 2e-7, 3e-7 m; 1.5e-7 m lies exactly half way
+    out = tmp_path / "sweep.csv"
+    assert main(["testability", "--grid", "linear", "--points", "3",
+                 "--radius-min", "1e-7", "--radius-max", "3e-7",
+                 "--highlight-radius", "1.5e-7", "--out", str(out)]) == 0
+    radii = [float(row["radius_m"]) for row in read_rows(out)]
+    assert 1.5e-7 - radii[0] == radii[1] - 1.5e-7
+    assert f"highlight r={radii[0]:.3e} m:" in capsys.readouterr().out
+
+
+# ------------------------------------------- repeated in-process calls
+
+REPEATED_CALLS = [
+    ["testability", "--points", "40", "--models", "dp,k_sat",
+     "--out", "a/sat.csv"],
+    ["decoherence-report", "--out", "a/deco.csv"],
+    ["--help"],
+    ["vacuum-report", "--cold-temperature", "30", "--out", "a/vac.csv"],
+    ["testability", "--points", "40", "--bogus", "--out", "a/bad.csv"],
+    ["mission-report", "--out", "b/mission.csv"],
+    ["testability", "--help"],
+    ["testability", "--points", "40", "--grid", "linear", "--models",
+     "csl,csl_adler,qg,k", "--highlight-radius", "2e-7", "--out", "b/quad.csv"],
+    ["testability", "--points", "40", "--models", "dp,k_sat",
+     "--out", "b/sat.csv"],
+]
+
+
+def _outputs(folder):
+    """Every file under folder by relative path, manifests without their
+    timestamp."""
+    files = {}
+    for path in sorted(folder.rglob("*")):
+        if path.is_file():
+            text = path.read_text()
+            if path.name.endswith(".manifest.json"):
+                doc = json.loads(text)
+                doc.pop("created_utc")
+                text = json.dumps(doc, sort_keys=True)
+            files[str(path.relative_to(folder))] = text
+    return files
+
+
+def test_repeated_in_process_calls_match_fresh_processes(tmp_path, capsys,
+                                                         monkeypatch):
+    # one parser serves every main() call of a process; --help and a usage
+    # error in between must leave it as a fresh process builds it
+    from macrocoh import cli
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    procs = [subprocess.Popen([sys.executable, "-m", "macrocoh.cli", *argv],
+                              cwd=fresh, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+             for argv in REPEATED_CALLS]
+    expected = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        expected.append((proc.returncode, out, err))
+
+    monkeypatch.setenv("COLUMNS", "80")
+    inside = tmp_path / "inside"
+    inside.mkdir()
+    monkeypatch.chdir(inside)
+    parser = cli._parser()
+    for argv, want in zip(REPEATED_CALLS, expected):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = (code,) + tuple(capsys.readouterr())
+        assert got == want, argv
+        assert cli._parser() is parser
+    assert _outputs(inside) == _outputs(fresh)
+    assert len(_outputs(inside)) == 18
+    assert cli.build_parser() is not parser

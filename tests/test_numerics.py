@@ -1,0 +1,67 @@
+"""Elementwise helpers of `numerics` on columns of every composition."""
+
+import numpy as np
+import pytest
+
+from macrocoh.numerics import all_true, any_true, piecewise
+
+# (name, condition column); each kind of column the branch decisions meet
+COLUMNS = [
+    ("all true", np.array([True, True, True])),
+    ("all false", np.array([False, False, False])),
+    ("mixed", np.array([False, True, True, False, True])),
+    ("empty", np.array([], dtype=bool)),
+]
+
+
+@pytest.mark.parametrize("name, cond", COLUMNS)
+def test_all_true_and_any_true_match_numpy(name, cond):
+    assert all_true(cond) is bool(cond.all())
+    assert any_true(cond) is bool(cond.any())
+    values = np.where(cond, 2.5, 0.0)  # a float column counts nonzero elements
+    assert all_true(values) is bool(values.all())
+    assert any_true(values) is bool(values.any())
+
+
+def test_all_true_and_any_true_on_scalars():
+    assert all_true(1.0 > 0.0) is True and any_true(1.0 < 0.0) is False
+    assert all_true(np.float64(3.0) > 2.0) is True
+
+
+@pytest.mark.parametrize("name, cond", COLUMNS)
+def test_piecewise_runs_each_branch_only_on_its_elements(name, cond):
+    x = np.arange(len(cond), dtype=float) + 1.0
+    seen = {"true": [], "false": []}
+
+    def branch(key, sign):
+        def run(values, scale):
+            seen[key].append(values.tolist())
+            return sign * scale * values
+        return run
+
+    with np.errstate(all="raise"):
+        out = piecewise(cond, (x, 10.0), branch("true", 1.0),
+                        branch("false", -1.0))
+    assert out.dtype == float and len(out) == len(cond)
+    assert out.tolist() == np.where(cond, 10.0 * x, -10.0 * x).tolist()
+    hits = x[cond].tolist()
+    misses = x[~cond].tolist()
+    if len(cond) == 0:
+        # an empty column runs both branches once on empty arguments
+        assert seen == {"true": [[]], "false": [[]]}
+    else:
+        assert seen == {"true": [hits] if hits else [],
+                        "false": [misses] if misses else []}
+
+
+@pytest.mark.parametrize("name, cond", COLUMNS)
+def test_piecewise_broadcasts_a_scalar_branch(name, cond):
+    out = piecewise(cond, (), lambda: 1.0, lambda: 0.0)
+    assert out.tolist() == cond.astype(float).tolist()
+
+
+def test_piecewise_gives_a_fresh_column():
+    x = np.array([1.0, 2.0])
+    out = piecewise(x > 0.0, (x,), lambda values: values, lambda values: -values)
+    out[0] = 5.0
+    assert x.tolist() == [1.0, 2.0]

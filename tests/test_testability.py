@@ -12,12 +12,12 @@ from macrocoh import (CONSTANTS, CslParams, Environment,
                       csl_lambda, expansion, qm_channel_rates,
                       scenario_kinematics)
 from macrocoh.config import ConfigError
-from macrocoh.testability import (MODEL_PRESETS, PRESET_FILES, ModelSpec,
-                                  SweepConfig, SweepTable, evaluate_radius,
-                                  load_preset, model_decoherence_spec,
-                                  radius_grid, scenario_presets, sweep,
-                                  violation_intervals, write_intervals_csv,
-                                  write_sweep_csv)
+from macrocoh.testability import (MODEL_PRESETS, PRESET_FILES, SILENT_NAN,
+                                  ModelSpec, SweepConfig, SweepTable,
+                                  evaluate_radius, load_preset,
+                                  model_decoherence_spec, radius_grid,
+                                  scenario_presets, sweep, violation_intervals,
+                                  write_intervals_csv, write_sweep_csv)
 
 BASELINE = scenario_presets()["fig2_baseline"]
 
@@ -112,7 +112,9 @@ def test_failing_cells_keep_their_messages_and_stay_undecided():
     assert list(table.errors) == [3, 4, 5, 6]
     assert table.errors[3] == {"k": "float division by zero"}
     assert list(table.errors[6]) == ["qm", "csl", "k"]
-    assert math.isnan(table.ced_qm[5]) and "qm" not in table.errors[5]
+    # the QM CED of row 5 is NaN although nothing raised: it gets a message
+    assert math.isnan(table.ced_qm[5])
+    assert table.errors[5] == {"qm": SILENT_NAN, "k": "float division by zero"}
     for name in ("csl", "k", "dp"):
         cells = zip(table.ced_model[name], table.ced_qm, table.violated[name])
         for ced_model, ced_qm, flag in cells:
