@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 computation failure or budget mismatch warning,
 """
 
 import argparse
-import bisect
 import functools
 import io
 import json
@@ -169,7 +168,8 @@ def cmd_testability(args):
     for name, spans in intervals.items():
         pretty = "; ".join(f"[{lo:.3e}, {hi:.3e}] m" for lo, hi in spans) or "none"
         print(f"{name}: violation intervals {pretty}")
-    nearest = table[nearest_index(table.radius, args.highlight_radius)]
+    nearest = table[min(range(len(table)), key=lambda i: abs(
+        table.radius[i] - args.highlight_radius))]
     marks = ", ".join(f"ced_{n}={nearest.ced_model[n]:.3e} m" for n in names)
     print(f"highlight r={nearest.radius:.3e} m: ced_qm={nearest.ced_qm:.3e} m, {marks}")
 
@@ -179,25 +179,6 @@ def cmd_testability(args):
     if table.errors and len(table.errors) == len(table):
         return 1
     return 0
-
-
-def nearest_index(ascending, target):
-    """Index of the value nearest to target in an ascending list, the lowest
-    one on a tie: the index min(range(n), key=distance) gives, by bisection.
-
-    Distances fall towards target from below and grow from above it, so the
-    nearest values lie at the end of the run below target or at the first
-    value not below it.
-    """
-    def below(x):  # minus the distance; ascending up to target
-        return -abs(x - target)
-
-    i = bisect.bisect_left(ascending, target)
-    if i == len(ascending) or (i and below(ascending[i - 1])
-                               >= below(ascending[i])):
-        return bisect.bisect_left(ascending, below(ascending[i - 1]), 0, i,
-                                  key=below)
-    return i
 
 
 def cmd_vacuum_report(args):

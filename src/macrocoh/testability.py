@@ -209,19 +209,25 @@ def _ced_column(cell, key, column, kin, errors):
 SILENT_NAN = "CED is NaN: a non-finite intermediate value, nothing raised"
 
 
-def _violation_flags(name, ced_model, ced_qm, errors):
-    """Flags of one model, None where either CED is NaN; a NaN CED whose cell
-    recorded no message gets SILENT_NAN in `errors`."""
+def _silent_nans(key, values, errors):
+    """NaN mask of a CED column; a NaN cell that recorded no message gets
+    SILENT_NAN under `key` in `errors`."""
+    import numpy as np
+
+    nan = np.isnan(values)
+    for i in np.flatnonzero(nan).tolist():
+        errors.setdefault(i, {}).setdefault(key, SILENT_NAN)
+    return nan
+
+
+def _violation_flags(ced_model, ced_qm, undecided):
+    """Flags of one model, None where `undecided` is set."""
     import numpy as np
 
     # inf model CED never violates; inf QM CED dominates any finite model
     flags = (ced_model < ced_qm).tolist()
-    for i in np.flatnonzero(np.isnan(ced_model) | np.isnan(ced_qm)).tolist():
+    for i in np.flatnonzero(undecided).tolist():
         flags[i] = None
-        cell = errors.setdefault(i, {})
-        for key, value in (("qm", ced_qm[i]), (name, ced_model[i])):
-            if math.isnan(value):
-                cell.setdefault(key, SILENT_NAN)
     return flags
 
 
@@ -238,7 +244,9 @@ def _solve(radii, scenario, models):
         ced = {spec.name: _ced_column(partial(_model_ced, spec), spec.name,
                                       column, kin, errors)
                for spec in models}
-    violated = {name: _violation_flags(name, values, ced_qm, errors)
+    qm_nan = _silent_nans("qm", ced_qm, errors)
+    violated = {name: _violation_flags(
+                    values, ced_qm, qm_nan | _silent_nans(name, values, errors))
                 for name, values in ced.items()}
     keys = ["qm", *ced]
     return SweepTable(

@@ -5,14 +5,13 @@ import dataclasses
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from macrocoh.cli import main, nearest_index
+from macrocoh.cli import main
 from macrocoh.scenario import scenario_kinematics
 from macrocoh.testability import scenario_presets
 
@@ -390,28 +389,6 @@ def test_output_that_is_a_directory_exit_2(tmp_path, capsys):
 
 
 # ------------------------------------------------------ highlight row
-
-def test_highlight_row_is_the_nearest_lowest_on_a_tie():
-    grid = [1.0, 2.0, 3.0, 3.0, 5.0]
-    cases = {1.5: 0, 2.5: 1, 4.0: 2, 3.0: 2, 0.0: 0, 9.0: 4, -math.inf: 0,
-             math.inf: 0, math.nan: 0}
-    for target, index in cases.items():
-        assert nearest_index(grid, target) == index, target
-    # both distances round to 1.0: the lower index, as min() gives
-    assert nearest_index([1e-30, 2e-30], 1.0) == 0
-
-
-def test_highlight_row_equals_min_over_distances():
-    rng = random.Random(7)
-    for _ in range(2000):
-        grid = sorted(rng.choice([rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-40, 3),
-                                  float(rng.randint(0, 6))])
-                      for _ in range(rng.randint(1, 12)))
-        target = rng.choice([rng.uniform(-4.0, 4.0), float(rng.randint(-1, 7)) / 2.0,
-                             10.0 ** rng.uniform(-40, 3), rng.choice(grid)])
-        expected = min(range(len(grid)), key=lambda i: abs(grid[i] - target))
-        assert nearest_index(grid, target) == expected, (grid, target)
-
 
 def test_testability_highlight_tie_echoes_the_lower_radius(tmp_path, capsys):
     # a linear grid 1e-7, 2e-7, 3e-7 m; 1.5e-7 m lies exactly half way

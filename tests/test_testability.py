@@ -127,6 +127,12 @@ def test_failing_cells_keep_their_messages_and_stay_undecided():
     alone = evaluate_radius(table.radius[4], BASELINE, models)
     assert alone.errors == table.errors[4]
     assert alone.ced_model["dp"] == table.ced_model["dp"][4]
+    # with no models the silent QM NaN keeps its message
+    bare = sweep(SweepConfig(radius_min=1e-7, radius_max=1e60, points=7,
+                             scenario=BASELINE, models=()))
+    assert bare.errors[5] == {"qm": SILENT_NAN}
+    assert evaluate_radius(table.radius[5], BASELINE, ()).errors == {
+        "qm": SILENT_NAN}
 
 
 def test_kinematics_failure_is_that_of_the_first_bad_radius():

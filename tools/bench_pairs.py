@@ -11,7 +11,10 @@ workload and seed, each end-to-end metric's median and quartiles on both
 sides and the number of pairs the change won.
 
     python3 tools/bench_pairs.py --pr 7 --parent HEAD~1 --change HEAD \\
-        --runs 1:10 --runs 2:3 --seconds 20 --out BENCH_7.json
+        --runs 1:10 --runs 2:3
+
+Every run lasts 20 s and covers all three workloads; the record is written
+to BENCH_<pr>.json at the root of the repository.
 
 This script runs the benchmark only as a program; it neither imports nor
 changes anything under bench/.
@@ -33,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("cli_reports", "sweep_quadratic", "sweep_saturated")
 SIDES = ("parent", "change")
+SECONDS = 20
 ORDER = "pairs of runs, parent first in even pairs and change first in odd pairs"
 
 
@@ -47,15 +51,15 @@ def export(commit, where):
         tar.extractall(where, filter="data")
 
 
-def bench_command(workload, seed, seconds):
+def bench_command(workload, seed):
     return [sys.executable, "bench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed):
     """(exit code, final JSON line or None) of one benchmark run."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(bench_command(workload, seed, seconds), cwd=checkout,
+    proc = subprocess.run(bench_command(workload, seed), cwd=checkout,
                           env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -158,21 +162,16 @@ def parse_args(argv):
                         metavar="SEED:PAIRS",
                         help="a seed and its number of pairs (default 1:10); "
                              "repeatable")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--note", help="free text kept in the record")
-    parser.add_argument("--out", type=Path, help="default BENCH_<pr>.json")
     return parser.parse_args(argv)
 
 
 def main(argv=None):
     args = parse_args(argv)
     runs_per_seed = args.runs or [(1, 10)]
-    workloads = [w for w in args.workloads.split(",") if w]
     commits = {side: git("rev-parse", rev).decode().strip()
                for side, rev in (("parent", args.parent),
                                  ("change", args.change))}
-    seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds
     better = {m["name"]: m["better"] for m in json.loads(
         git("show", f"{commits['change']}:BENCHMARK.json"))["end_to_end"]}
     runs = []
@@ -181,14 +180,13 @@ def main(argv=None):
         for side, commit in commits.items():
             checkouts[side] = Path(tmp) / side
             export(commit, checkouts[side])
-        for workload in workloads:
+        for workload in WORKLOADS:
             for seed, pairs in runs_per_seed:
                 for pair in range(pairs):
                     first = "parent" if pair % 2 == 0 else "change"
                     order = [first, "change" if first == "parent" else "parent"]
                     for side in order:
-                        code, final = run_once(checkouts[side], workload, seed,
-                                               seconds)
+                        code, final = run_once(checkouts[side], workload, seed)
                         runs.append({"workload": workload, "seed": seed,
                                      "pair": pair, "first": first,
                                      "side": side, "exit": code,
@@ -199,8 +197,8 @@ def main(argv=None):
     record = {
         "pr": args.pr,
         "command": " ".join(["python3"]
-                            + bench_command("<workload>", "<seed>", seconds)[1:]),
-        "seconds": seconds,
+                            + bench_command("<workload>", "<seed>")[1:]),
+        "seconds": SECONDS,
         "seeds": [seed for seed, _ in runs_per_seed],
         "order": ORDER,
         "commits": commits,
@@ -209,7 +207,7 @@ def main(argv=None):
         record["note"] = args.note
     record.update(machine=machine(), versions=versions(),
                   summary=summarize(runs, better), runs=runs)
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
     return 0
