@@ -2,10 +2,10 @@
 
 Commands: decoherence-report, testability, vacuum-report, mission-report.
 Each imports the modules it needs when it runs, so building the parser loads
-none and the reports never load the sweep modules or numpy.  Every output
-file gets a sidecar <name>.manifest.json recording the resolved inputs that
-produced it; timestamps live only in the manifest so repeated runs produce
-byte-identical data files.
+none and the reports never load the sweep modules or numpy.  Each run writes
+one manifest, <first output>.manifest.json, naming all its outputs and the
+resolved inputs that produced them; timestamps live only in the manifest so
+repeated runs produce byte-identical data files.
 
 Exit codes: 0 success, 1 computation failure or budget mismatch warning,
 2 input validation failure.
@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, csv_cell
+from .config import ConfigError, csv_cell, number, pair, section
 from .numerics import QuadratureError
 
 
@@ -42,30 +42,38 @@ def prepare_output(path):
 
 
 def atomic_write_text(path, text):
-    """Write via a temp file in the target directory plus rename."""
+    """Write via a temp file in the target directory plus rename; a failure
+    is a ConfigError naming the output and leaves no temp file."""
     path = prepare_output(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_manifest(command, inputs, outputs, parameters):
-    """Provenance sidecar <out>.manifest.json pairing each output with its
-    resolved inputs."""
+    """Provenance sidecar <first output>.manifest.json naming every output
+    of the run and its resolved inputs."""
     manifest = json.dumps(
         {"command": command, "tool_version": __version__,
          "created_utc": datetime.now(timezone.utc).isoformat(),
          "inputs": [str(p) for p in inputs],
          "outputs": [str(p) for p in outputs], "parameters": parameters},
         indent=2, sort_keys=True) + "\n"
-    for out in outputs:
-        atomic_write_text(str(out) + ".manifest.json", manifest)
+    atomic_write_text(str(outputs[0]) + ".manifest.json", manifest)
+
+
+def csv_text(header, rows):
+    """CSV text of a header and rows, each cell formatted by csv_cell."""
+    return "".join(",".join(map(csv_cell, row)) + "\n"
+                   for row in [header, *rows])
 
 
 def _resolve_scenario(args):
@@ -113,9 +121,7 @@ def cmd_decoherence_report(args):
         ("amplitude_factor_at_cet", amplitude, "1"),
         ("visibility_at_cet", visibility, "1"),
     ]
-    text = "quantity,value,unit\n" + "".join(
-        f"{name},{csv_cell(value)},{unit}\n" for name, value, unit in rows)
-    atomic_write_text(args.out, text)
+    atomic_write_text(args.out, csv_text(("quantity", "value", "unit"), rows))
     write_manifest("decoherence-report", [source], [args.out],
                    {"scenario": source, "label": scenario.label})
     cet_text = "inf" if math.isinf(cet) else f"{cet:.4e} s"
@@ -204,39 +210,29 @@ def cmd_vacuum_report(args):
     if args.cold_temperature is not None:
         header += ["attenuation_at_10_Eroom", "attenuation_at_30_Eroom"]
 
-    lines = [",".join(header)]
+    rows = []
     for name in selected:
         row = summaries[name]
         decay = math.exp(-args.time / row.residence_time)
         gamma0 = row.gamma0 * decay
         state = vacuum.steady_state(gamma0, temperature, row.species_mass)
-        cells = [
-            name,
-            csv_cell(row.mass_loss_rate * decay),
-            csv_cell(gamma0),
-            csv_cell(state.pressure / vacuum.MBAR),
-            csv_cell(state.number_density),
-            csv_cell(vacuum.collision_rate(gamma0, args.sphere_radius)),
-            csv_cell(vacuum.implied_emitting_area(row.mass_loss_rate,
-                                                  row.species_mass,
-                                                  row.gamma0)),
-        ]
+        cells = [name, row.mass_loss_rate * decay, gamma0,
+                 state.pressure / vacuum.MBAR, state.number_density,
+                 vacuum.collision_rate(gamma0, args.sphere_radius),
+                 vacuum.implied_emitting_area(row.mass_loss_rate,
+                                              row.species_mass, row.gamma0)]
         if with_dilution:
             patch_area = math.pi * (0.5 * args.patch_diameter) ** 2
             diluted = vacuum.dilution_from_patch(state.number_density,
                                                  patch_area, args.distance)
-            cells += [csv_cell(diluted),
-                      csv_cell(diluted / state.number_density)]
+            cells += [diluted, diluted / state.number_density]
         if args.cold_temperature is not None:
-            cells += [
-                csv_cell(vacuum.pressure_attenuation(10.0, temperature,
-                                                     args.cold_temperature)),
-                csv_cell(vacuum.pressure_attenuation(30.0, temperature,
-                                                     args.cold_temperature)),
-            ]
-        lines.append(",".join(cells))
+            cells += [vacuum.pressure_attenuation(energy, temperature,
+                                                  args.cold_temperature)
+                      for energy in (10.0, 30.0)]
+        rows.append(cells)
 
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    atomic_write_text(args.out, csv_text(header, rows))
     write_manifest("vacuum-report",
                    [args.materials or "<packaged materials.yaml>"], [args.out],
                    {"sphere_radius": args.sphere_radius, "time": args.time,
@@ -248,46 +244,64 @@ def cmd_vacuum_report(args):
     return 0
 
 
+def _given(doc, key, path, missing):
+    """An optional number: `missing` when the key is absent."""
+    return number(doc, key, path) if key in doc else missing
+
+
 def cmd_mission_report(args):
     from . import mission
 
     orbit, doc = mission.load_orbit(args.orbit)
-    targets = doc.get("targets") or {}
-    thrusters = doc.get("thrusters") or {}
+    source = str(args.orbit or "<packaged orbit_heo.yaml>")
+    # optional sections, but mappings when given
+    targets, thrusters = (section(doc, key, source) if key in doc else {}
+                          for key in ("targets", "thrusters"))
     ledgers = mission.load_budgets(args.budgets)
 
     period = mission.orbital_period(orbit)
     gravity = mission.local_gravity(orbit, orbit.perigee_altitude)
+    where = f"{source}.targets"
     rows = [
         ("orbital_period_days", period / 86400.0,
-         targets.get("period_days", ""), "day"),
+         _given(targets, "period_days", where, ""), "day"),
         ("perigee_gravity", gravity.acceleration, "", "m/s^2"),
         ("perigee_gravity_g_fraction", gravity.g_fraction,
-         targets.get("perigee_gravity_g", ""), "g"),
+         _given(targets, "perigee_gravity_g", where, ""), "g"),
     ]
 
-    band = targets.get("perigee_band_altitude_km")
     window = None
-    if band:
-        window = mission.altitude_window(orbit, band[0] * 1e3, band[1] * 1e3)
+    if "perigee_band_altitude_km" in targets:
+        low, high = pair(targets, "perigee_band_altitude_km", where)
+        window = mission.altitude_window(orbit, low * 1e3, high * 1e3)
         rows.append(("perigee_window_minutes", window / 60.0,
-                     targets.get("perigee_window_minutes", ""), "min"))
-    psd = targets.get("accel_psd_m_s2_sqrtHz")
+                     _given(targets, "perigee_window_minutes", where, ""), "min"))
+    psd = _given(targets, "accel_psd_m_s2_sqrtHz", where, None)
     if psd and window:
         acc = mission.integrated_accuracy(psd, window,
                                           reference_accel=gravity.acceleration)
         rows.append(("integrated_accuracy", acc.absolute,
-                     targets.get("integrated_accuracy_m_s2", ""), "m/s^2"))
+                     _given(targets, "integrated_accuracy_m_s2", where, ""),
+                     "m/s^2"))
         rows.append(("integrated_fraction_of_perigee_g", acc.fractional, "", "1"))
 
     if thrusters:
-        force = thrusters.get("force_psd_N_sqrtHz")
-        craft_mass = thrusters.get("spacecraft_mass_kg")
-        for claim in thrusters.get("position_hold_claims", []):
+        where = f"{source}.thrusters"
+        force = _given(thrusters, "force_psd_N_sqrtHz", where, None)
+        craft_mass = _given(thrusters, "spacecraft_mass_kg", where, None)
+        where += ".position_hold_claims"
+        claims = thrusters.get("position_hold_claims", [])
+        if not isinstance(claims, list):
+            raise ConfigError(f"{where}: expected a list, got {claims!r}")
+        claims = dict(enumerate(claims))
+        for i in claims:
+            claim = section(claims, i, where)
+            duration = number(claim, "duration_s", f"{where}.{i}")
             noise = mission.thruster_position_noise(
-                claim["duration_s"], force_psd=force, spacecraft_mass=craft_mass)
-            rows.append((f"thruster_position_spread_{claim['duration_s']:g}s",
-                         noise.position_spread, claim.get("position_m", ""), "m"))
+                duration, force_psd=force, spacecraft_mass=craft_mass)
+            rows.append((f"thruster_position_spread_{duration:g}s",
+                         noise.position_spread,
+                         _given(claim, "position_m", f"{where}.{i}", ""), "m"))
         if force and craft_mass:
             rows.append(("thruster_accel_psd", force / craft_mass, "",
                          "(m/s^2)/sqrt(Hz)"))
@@ -304,13 +318,11 @@ def cmd_mission_report(args):
                 f" but declare {check.declared_total:g} {unit}"
                 f" (delta {check.delta:+g})")
 
-    text = "quantity,computed,target,unit\n" + "".join(
-        f"{name},{csv_cell(value)},{csv_cell(target)},{unit}\n"
-        for name, value, target, unit in rows)
-    atomic_write_text(args.out, text)
+    atomic_write_text(args.out, csv_text(
+        ("quantity", "computed", "target", "unit"), rows))
     write_manifest("mission-report",
-                   [args.orbit or "<packaged orbit_heo.yaml>",
-                    args.budgets or "<packaged budgets.yaml>"], [args.out],
+                   [source, args.budgets or "<packaged budgets.yaml>"],
+                   [args.out],
                    {"orbit": str(args.orbit), "budgets": str(args.budgets)})
 
     print(f"period {period / 86400.0:.2f} d, perigee gravity "
@@ -407,10 +419,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, TypeError) as exc:

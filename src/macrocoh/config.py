@@ -69,6 +69,23 @@ def number(doc, key, path, default=None):
     return float(value)
 
 
+def pair(doc, key, path):
+    """Two numbers given as a [low, high] list."""
+    value = doc.get(key)
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}.{key}: expected [low, high], got {value!r}")
+    return [number(dict(enumerate(value)), i, f"{path}.{key}") for i in (0, 1)]
+
+
+def entries(doc, key, path):
+    """(name, mapping, dotted path) of each entry of the mapping of mappings
+    at `key`."""
+    table = section(doc, key, path)
+    path = f"{path}.{key}"
+    return [(name, section(table, name, path), f"{path}.{name}")
+            for name in table]
+
+
 def quantity(doc, path, options, default=None):
     """Numeric field accepted under one of several unit-suffixed keys.
 

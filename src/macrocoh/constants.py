@@ -18,16 +18,16 @@ class PhysicalConstants:
     gas_constant_R: float = 8.314462618   # J/(K mol)
     stefan_boltzmann: float = 5.670374419e-8  # W/(m^2 K^4)
     zeta9: float = 1.0020083928260822     # Riemann zeta(9)
-    planck_length: float = 0.0            # m; derived from G, hbar, c when left at 0
 
     def __post_init__(self):
-        if self.planck_length == 0.0:
-            object.__setattr__(
-                self, "planck_length", math.sqrt(self.G * self.hbar / self.c**3)
-            )
         for name, value in vars(self).items():
             if not value > 0.0:
                 raise ValueError(f"constant {name} must be positive, got {value}")
+
+    @property
+    def planck_length(self):
+        """sqrt(G hbar / c^3), in m."""
+        return math.sqrt(self.G * self.hbar / self.c**3)
 
 
 CONSTANTS = PhysicalConstants()

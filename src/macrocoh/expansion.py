@@ -18,10 +18,10 @@ of the cubic, or the cubic branch at t_b followed by one linear step.  The
 coherent expansion distance is CED = v_m * CET.
 
 One code path solves a single law and a column of laws (one per sweep
-radius): the branches are `numerics.piecewise` choices and the powers, cube
-roots and hypot go through libm element by element, so `cet_or_inf` and
-`ced_or_inf` on columns equal `solve_cet` and `ced` on each element bit for
-bit.
+radius): the branches are `numerics.piecewise` choices and the powers
+(cube roots included) and hypot go through libm element by element, so
+`cet_or_inf` and `ced_or_inf` on columns equal `solve_cet` and `ced` on each
+element bit for bit.
 """
 
 import math
@@ -29,8 +29,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
-from .numerics import (all_true, any_true, cbrt, hypot, isinf, piecewise,
-                       power, quad_checked, sqrt, where)
+from .numerics import (all_true, any_true, hypot, piecewise, power,
+                       quad_checked, sqrt)
 
 # Expansion times beyond this are treated as unbounded coherence.
 TAU_CAP = 1e9  # s
@@ -189,7 +189,8 @@ def _cube_root_only(a_cub, _):
 
 
 def _inverse_cube_root(a_cub, *_):
-    return cbrt(1.0 / a_cub)
+    # a_cub > 0, so the real cube root is a plain power
+    return power(1.0 / a_cub, 1.0 / 3.0)
 
 
 def _root_with_linear_term(a_cub, b_lin):
@@ -202,14 +203,14 @@ def _linear_root(_, b_lin):
 
 def _cardano_root(a_cub, b_lin):
     w = 1.5 / b_lin * sqrt(3.0 * a_cub / b_lin)
-    w_sum = w + hypot(1.0, w)
+    w_sum = w + hypot(1.0, w)  # at least 1, or NaN
     # w + hypot(1, w) = inf: the linear term is below double precision
-    return piecewise(isinf(w_sum), (a_cub, b_lin, w_sum), _inverse_cube_root,
-                     _cardano_finite)
+    return piecewise(w_sum == math.inf, (a_cub, b_lin, w_sum),
+                     _inverse_cube_root, _cardano_finite)
 
 
 def _cardano_finite(_, b_lin, w_sum):
-    c = cbrt(w_sum)
+    c = power(w_sum, 1.0 / 3.0)
     return 3.0 / (b_lin * (c * c + 1.0 + 1.0 / (c * c)))
 
 
@@ -286,7 +287,8 @@ def cet_or_inf(spec, kin):
     TAU_CAP); equal to it bit for bit elsewhere."""
     _require_closed_form(spec)
     tau = _cet(spec, kin)
-    return where(spec.is_null | (tau > TAU_CAP), math.inf, tau)
+    return piecewise(spec.is_null | (tau > TAU_CAP), (tau,), _infinite,
+                     _keep_cubic)
 
 
 def ced_or_inf(spec, kin):

@@ -217,6 +217,6 @@ def load_budgets(path=None):
     doc, source = config.load_document(path, "budgets.yaml")
     ledgers = {}
     for group in ("mass_budgets", "power_budgets"):
-        for name, entry in config.section(doc, group, source).items():
-            ledgers[name] = _ledger_from_mapping(name, entry, f"{source}.{group}.{name}")
+        for name, entry, path in config.entries(doc, group, source):
+            ledgers[name] = _ledger_from_mapping(name, entry, path)
     return ledgers

@@ -10,7 +10,7 @@ numpy array, e.g. one value per sweep radius) alike.  Their column results
 equal the float results bit for bit, element by element, under one rule:
 numpy does only + - * / and sqrt, which IEEE 754 rounds correctly and which
 therefore match Python's float arithmetic exactly; every other function
-(`power`, `exp`, `hypot`, `cbrt`) goes through libm element by element,
+(`power`, `exp`, `hypot`) goes through libm element by element,
 because numpy's SIMD versions differ from libm in the last bit for a few per
 cent of inputs.  Branches go through `piecewise`, which runs each branch only
 on its own elements, as an if/else would.  numpy is imported only when a
@@ -30,9 +30,10 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def quad_checked(fn, a, b, *, epsrel=1e-9, epsabs=0.0, points=None,
-                 weight=None, wvar=None, limit=200):
-    """Integrate fn over [a, b]; return (value, abs_error_estimate).
+def quad_checked(fn, a, b, *, epsrel=1e-9, points=None, weight=None,
+                 wvar=None, limit=200):
+    """Integrate fn over [a, b] to the relative tolerance epsrel alone;
+    return (value, abs_error_estimate).
 
     `points` marks known interior kinks (ignored when a weight is used, as
     QUADPACK forbids the combination).  Raises QuadratureError instead of
@@ -40,7 +41,7 @@ def quad_checked(fn, a, b, *, epsrel=1e-9, epsabs=0.0, points=None,
     """
     from scipy import integrate
 
-    kwargs = {"epsabs": epsabs, "epsrel": epsrel, "limit": limit, "full_output": 1}
+    kwargs = {"epsabs": 0.0, "epsrel": epsrel, "limit": limit, "full_output": 1}
     if weight is not None:
         kwargs["weight"] = weight
         kwargs["wvar"] = wvar
@@ -117,33 +118,6 @@ def sqrt(x):
 
         return np.sqrt(x)
     return math.sqrt(x)
-
-
-def cbrt(x):
-    """Real cube root with sign, as libm pow (math.cbrt only exists from
-    Python 3.11)."""
-    if is_column(x):
-        import numpy as np
-
-        return np.copysign(power(np.abs(x), 1.0 / 3.0), x)
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def isinf(x):
-    if is_column(x):
-        import numpy as np
-
-        return np.isinf(x)
-    return math.isinf(x)
-
-
-def where(cond, if_true, otherwise):
-    """Elementwise choice between two values already computed."""
-    if is_column(cond):
-        import numpy as np
-
-        return np.where(cond, if_true, otherwise)
-    return if_true if cond else otherwise
 
 
 def piecewise(cond, args, when_true, otherwise):

@@ -220,12 +220,8 @@ def load_materials(path=None):
     """Load material presets; returns (temperature_K, species dict, summary dict)."""
     doc, source = config.load_document(path, "materials.yaml")
     temperature = config.number(doc, "temperature_K", source)
-    species = {
-        name: _material_from_mapping(name, entry, f"{source}.species_table.{name}")
-        for name, entry in config.section(doc, "species_table", source).items()
-    }
-    summaries = {
-        name: _summary_from_mapping(name, entry, f"{source}.summary_table.{name}")
-        for name, entry in config.section(doc, "summary_table", source).items()
-    }
+    species = {name: _material_from_mapping(name, entry, path)
+               for name, entry, path in config.entries(doc, "species_table", source)}
+    summaries = {name: _summary_from_mapping(name, entry, path)
+                 for name, entry, path in config.entries(doc, "summary_table", source)}
     return temperature, species, summaries

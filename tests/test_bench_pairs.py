@@ -71,3 +71,15 @@ def test_summary_counts_a_tie_as_no_win():
     assert summary["latency_s"]["change_wins"] == 0
     assert summary["cells_per_s"]["change_wins"] == 0
     assert summary["latency_s"]["change_over_parent"] == 1.0
+
+
+def test_src_lines_counts_python_files_under_src(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\nthree\n")
+    (package / "b.py").write_text("\n\nlast line without a newline")
+    (package / "data.yaml").write_text("not: python\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("outside src\n")
+    # as wc -l: newlines, so a last line without one does not count
+    assert bench_pairs.src_lines(tmp_path) == 5

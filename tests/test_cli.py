@@ -164,6 +164,18 @@ def test_testability_default_run_finite_ced_in_former_bracketing_window(tmp_path
     assert ced_k / v_m == pytest.approx(7.77e8, rel=1e-3)
 
 
+def test_testability_writes_one_manifest_naming_both_outputs(tmp_path):
+    out = tmp_path / "sweep.csv"
+    intervals = tmp_path / "spans.csv"
+    assert main(["testability", "--points", "3", "--models", "csl",
+                 "--out", str(out), "--intervals-out", str(intervals)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "spans.csv", "sweep.csv", "sweep.csv.manifest.json"]
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert manifest["command"] == "testability"
+    assert manifest["outputs"] == [str(out), str(intervals)]
+
+
 def test_testability_zero_temperature_with_gas_exit_2(tmp_path, capsys):
     scenario = tmp_path / "cold.yaml"
     scenario.write_text(COLD_GAS_SCENARIO)
@@ -388,6 +400,20 @@ def test_output_that_is_a_directory_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["tempfile.mkstemp", "os.replace"])
+def test_failed_write_names_the_output_and_leaves_no_temp_file(
+        tmp_path, capsys, monkeypatch, target):
+    def refuse(*args, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", "x.tmp")
+
+    monkeypatch.setattr(target, refuse)
+    out = tmp_path / "vac.csv"
+    assert main(["vacuum-report", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out}: cannot write: No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------ highlight row
 
 def test_testability_highlight_tie_echoes_the_lower_radius(tmp_path, capsys):
@@ -466,5 +492,5 @@ def test_repeated_in_process_calls_match_fresh_processes(tmp_path, capsys,
         assert got == want, argv
         assert cli._parser() is parser
     assert _outputs(inside) == _outputs(fresh)
-    assert len(_outputs(inside)) == 18
+    assert len(_outputs(inside)) == 15
     assert cli.build_parser() is not parser

@@ -425,6 +425,24 @@ def test_column_cet_equals_scalar_where_both_cubic_terms_matter():
     _assert_columns_match_scalars(laws)
 
 
+# The CET of each NAMED_CASES law, by repr.  The column-versus-scalar tests
+# cannot see a change that moves both paths alike; these pins can.
+NAMED_CETS = ["0.02231488501848139", "6250.0000302473645", "249.99975000025003",
+              "inf", "inf", "inf", "700000000.0", "inf", "inf", "inf",
+              "0.5723571212766659", "1.0"]
+
+
+def test_named_cases_keep_their_cet():
+    scalars = [cet_or_inf(DecoherenceSpec(*law[:3]), ExpansionKinematics(*law[3:]))
+               for law in NAMED_CASES]
+    assert list(map(repr, scalars)) == NAMED_CETS
+    lam, f_c, b, x0, v_m = (np.array(column) for column in zip(*NAMED_CASES))
+    with np.errstate(all="ignore"):
+        column = cet_or_inf(DecoherenceSpec(lam, f_c, b),
+                            ExpansionKinematics(x0, v_m))
+    assert list(map(repr, column.tolist())) == NAMED_CETS
+
+
 def test_piecewise_runs_each_branch_on_its_own_elements():
     x = np.array([0.0, 1.0, 4.0])
     seen = []

@@ -1,0 +1,138 @@
+"""Malformed input YAML: a value of the wrong type or shape exits with code 2
+and one `error:` line naming the field by its dotted path."""
+
+import contextlib
+import io
+from importlib import resources
+
+import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
+
+from macrocoh.cli import main
+
+# subcommand, flag and packaged file of each input document
+INPUTS = {
+    "scenario": ("decoherence-report", "--scenario",
+                 ("scenarios", "baseline_fig2.yaml")),
+    "materials": ("vacuum-report", "--materials", ("materials.yaml",)),
+    "orbit": ("mission-report", "--orbit", ("orbit_heo.yaml",)),
+    "budgets": ("mission-report", "--budgets", ("budgets.yaml",)),
+}
+# keys that no command reads
+UNREAD = {"orbit": {("label",)}}
+
+
+def packaged(kind):
+    text = resources.files("macrocoh").joinpath(
+        "data", *INPUTS[kind][2]).read_text(encoding="utf-8")
+    return yaml.safe_load(text)
+
+
+def key_paths(node, prefix=()):
+    """The key path of every value in a parsed document; list positions are
+    keys too."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from key_paths(value, prefix + (key,))
+
+
+def value_kind(value):
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "text", type(None): "null", list: "list",
+            dict: "mapping"}[type(value)]
+
+
+VALUES = {
+    "number": st.integers(-3, 3) | st.floats(allow_nan=False),
+    "text": st.text("ab1.-", max_size=4),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "list": st.lists(st.integers(0, 3), max_size=2),
+    "mapping": st.dictionaries(st.text("xy", min_size=1, max_size=2),
+                               st.integers(0, 3), max_size=2),
+}
+
+
+def lookup(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def run_with(kind, path, value, folder):
+    """(exit code, stderr, dotted path of the field) of the command reading
+    the packaged document of `kind` with the value at `path` replaced."""
+    doc = packaged(kind)
+    lookup(doc, path[:-1])[path[-1]] = value
+    source = folder / f"{kind}.yaml"
+    source.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    command, flag, _ = INPUTS[kind]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, flag, str(source),
+                     "--out", str(folder / "out.csv")])
+    return code, err.getvalue(), f"{source}.{'.'.join(map(str, path))}"
+
+
+def assert_names_the_field(code, err, dotted):
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert dotted in err, err
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    ("orbit", ("targets",), [1, 2]),
+    ("orbit", ("thrusters",), [1]),
+    ("budgets", ("mass_budgets", "mission_dry"), [1]),
+    ("orbit", ("targets", "perigee_band_altitude_km"), 5),
+    ("orbit", ("targets", "period_days"), [1]),
+    ("orbit", ("thrusters", "position_hold_claims"), {"x": 1}),
+    ("orbit", ("thrusters", "position_hold_claims", 1, "duration_s"), "10"),
+    ("materials", ("summary_table", "kapton"), 3),
+])
+def test_malformed_field_exit_2(tmp_path, kind, path, value):
+    assert_names_the_field(*run_with(kind, path, value, tmp_path))
+
+
+def test_orbit_without_its_optional_sections(tmp_path):
+    doc = packaged("orbit")
+    del doc["targets"], doc["thrusters"]
+    source = tmp_path / "orbit.yaml"
+    source.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["mission-report", "--orbit", str(source),
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows[:3]] == [
+        "orbital_period_days", "perigee_gravity", "perigee_gravity_g_fraction"]
+    assert [row[2] for row in rows[:3]] == ["", "", ""]
+    assert all(row[0].startswith("budget_") for row in rows[3:])
+
+
+@st.composite
+def replacements(draw, kind):
+    doc = packaged(kind)
+    paths = [p for p in key_paths(doc) if p not in UNREAD.get(kind, ())]
+    path = draw(st.sampled_from(paths))
+    other = sorted(set(VALUES) - {value_kind(lookup(doc, path))})
+    return path, draw(st.sampled_from(other).flatmap(VALUES.get))
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+@given(data=st.data())
+def test_fuzzed_field_exit_2(tmp_path_factory, kind, data):
+    path, value = data.draw(replacements(kind))
+    folder = tmp_path_factory.mktemp(kind)
+    assert_names_the_field(*run_with(kind, path, value, folder))

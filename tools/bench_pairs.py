@@ -8,7 +8,8 @@ one after the other: the parent first in even pairs, the change first in odd
 pairs, so that a drift of the machine hits both sides alike.  The last line
 of each run's standard output is its JSON result.  The summary gives, per
 workload and seed, each end-to-end metric's median and quartiles on both
-sides and the number of pairs the change won.
+sides and the number of pairs the change won.  The record also keeps the
+line count of `src/` on both sides, counted in the exported trees.
 
     python3 tools/bench_pairs.py --pr 7 --parent HEAD~1 --change HEAD \\
         --runs 1:10 --runs 2:3
@@ -49,6 +50,13 @@ def export(commit, where):
     """The committed files of `commit`, unpacked into `where`."""
     with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tar:
         tar.extractall(where, filter="data")
+
+
+def src_lines(tree):
+    """Lines of the Python files under src/ of an exported tree, as wc -l
+    counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in Path(tree, "src").rglob("*.py"))
 
 
 def bench_command(workload, seed):
@@ -180,6 +188,7 @@ def main(argv=None):
         for side, commit in commits.items():
             checkouts[side] = Path(tmp) / side
             export(commit, checkouts[side])
+        lines = {side: src_lines(checkouts[side]) for side in SIDES}
         for workload in WORKLOADS:
             for seed, pairs in runs_per_seed:
                 for pair in range(pairs):
@@ -202,6 +211,7 @@ def main(argv=None):
         "seeds": [seed for seed, _ in runs_per_seed],
         "order": ORDER,
         "commits": commits,
+        "src_lines": lines,
     }
     if args.note:
         record["note"] = args.note
