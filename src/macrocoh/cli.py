@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 computation failure or budget mismatch warning,
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -23,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, csv_cell, number, pair, section
+from .config import ConfigError, csv_text, number, pair, section
 from .numerics import QuadratureError
 
 
@@ -70,12 +69,6 @@ def write_manifest(command, inputs, outputs, parameters):
     atomic_write_text(str(outputs[0]) + ".manifest.json", manifest)
 
 
-def csv_text(header, rows):
-    """CSV text of a header and rows, each cell formatted by csv_cell."""
-    return "".join(",".join(map(csv_cell, row)) + "\n"
-                   for row in [header, *rows])
-
-
 def _resolve_scenario(args):
     from . import scenario
 
@@ -90,16 +83,14 @@ def _resolve_scenario(args):
 def cmd_decoherence_report(args):
     from . import expansion
     from .decoherence import qm_channel_rates
-    from .scenario import scenario_kinematics
 
     scenario, source = _resolve_scenario(args)
-    mass, x0, v_m = scenario_kinematics(scenario)
-    kin = expansion.ExpansionKinematics(x0=x0, v_m=v_m)
+    kin = scenario.kinematics
     rates = qm_channel_rates(scenario)
     spec = rates.as_decoherence_spec()
     try:
         cet = expansion.solve_cet(spec, kin)
-        ced = v_m * cet
+        ced = kin.v_m * cet
         factors = expansion.visibility_factor(expansion.gamma(cet, spec, kin))
         amplitude, visibility = factors.amplitude, factors.visibility
     except expansion.InfiniteCoherenceError:
@@ -108,9 +99,9 @@ def cmd_decoherence_report(args):
 
     rows = [
         ("particle_radius", scenario.particle.radius, "m"),
-        ("particle_mass", mass, "kg"),
-        ("ground_state_width", x0, "m"),
-        ("expansion_velocity", v_m, "m/s"),
+        ("particle_mass", scenario.particle.mass, "kg"),
+        ("ground_state_width", kin.x0, "m"),
+        ("expansion_velocity", kin.v_m, "m/s"),
         ("gas_rate", rates.gas_rate, "1/s"),
         ("lambda_bb_scatter", rates.lambda_bb_scatter, "1/(m^2 s)"),
         ("lambda_bb_absorb", rates.lambda_bb_absorb, "1/(m^2 s)"),
@@ -159,12 +150,8 @@ def cmd_testability(args):
 
     intervals_out = args.intervals_out or str(args.out) + ".intervals.csv"
     prepare_output(intervals_out)  # fails before the sweep CSV is written
-    buf = io.StringIO()
-    testability.write_sweep_csv(table, names, buf)
-    atomic_write_text(args.out, buf.getvalue())
-    buf = io.StringIO()
-    testability.write_intervals_csv(intervals, buf)
-    atomic_write_text(intervals_out, buf.getvalue())
+    atomic_write_text(args.out, testability.write_sweep_csv(table))
+    atomic_write_text(intervals_out, testability.write_intervals_csv(intervals))
     write_manifest("testability", [source], [args.out, intervals_out],
                    {"scenario": source, "radius_min": args.radius_min,
                     "radius_max": args.radius_max, "points": args.points,
@@ -204,7 +191,9 @@ def cmd_vacuum_report(args):
     header = ["material", "mass_loss_rate_kg_s", "gamma0_per_m2_s",
               "pressure_mbar", "number_density_per_m3", "collision_rate_per_s",
               "implied_area_m2"]
-    with_dilution = args.patch_diameter is not None and args.distance is not None
+    with_dilution = args.patch_diameter is not None
+    if with_dilution != (args.distance is not None):
+        raise ConfigError("--patch-diameter and --distance: give both or neither")
     if with_dilution:
         header += ["diluted_density_per_m3", "dilution_factor"]
     if args.cold_temperature is not None:

@@ -104,6 +104,15 @@ def quantity(doc, path, options, default=None):
     return number(doc, key, path) * options[key]
 
 
+def build(record, path, **fields):
+    """record(**fields), its own range checks failing as a ConfigError that
+    names `path`, the dotted path of the mapping the fields were read from."""
+    try:
+        return record(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def csv_cell(value):
     """Text of one CSV cell: a float as its round-trip repr, else str(value).
 
@@ -114,3 +123,9 @@ def csv_cell(value):
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
+
+
+def csv_text(header, rows):
+    """CSV text of a header and rows, each cell formatted by csv_cell."""
+    return "".join(",".join(map(csv_cell, row)) + "\n"
+                   for row in [header, *rows])

@@ -286,9 +286,8 @@ def cet_or_inf(spec, kin):
     where it raises InfiniteCoherenceError (a null law, or a CET beyond
     TAU_CAP); equal to it bit for bit elsewhere."""
     _require_closed_form(spec)
-    tau = _cet(spec, kin)
-    return piecewise(spec.is_null | (tau > TAU_CAP), (tau,), _infinite,
-                     _keep_cubic)
+    tau = _cet(spec, kin)  # inf for a null law
+    return piecewise(tau > TAU_CAP, (tau,), _infinite, _keep_cubic)
 
 
 def ced_or_inf(spec, kin):

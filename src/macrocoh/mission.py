@@ -185,7 +185,8 @@ def budget_check(ledger):
 def load_orbit(path=None):
     """Load orbit elements plus the report target figures; returns (orbit, doc)."""
     doc, source = config.load_document(path, "orbit_heo.yaml")
-    orbit = OrbitElements(
+    orbit = config.build(
+        OrbitElements, source,
         apogee_altitude=config.quantity(
             doc, source, {"apogee_altitude_m": 1.0, "apogee_altitude_km": 1e3}),
         perigee_altitude=config.quantity(

@@ -12,6 +12,7 @@ from functools import cached_property
 
 from . import config
 from .constants import CONSTANTS
+from .expansion import ExpansionKinematics
 from .numerics import all_true, power, sqrt
 
 # Typical mechanical frequency for a nanosphere in a ~10 um-waist optical
@@ -99,6 +100,14 @@ class Scenario:
         """Same material/environment/trap with a different sphere radius."""
         return replace(self, particle=replace(self.particle, radius=radius))
 
+    @cached_property
+    def kinematics(self):
+        """ExpansionKinematics of the particle released from its trap, one
+        evaluation per scenario (or radius column)."""
+        mass = self.particle.mass
+        x0 = ground_state_width(mass, self.trap.angular_frequency)
+        return ExpansionKinematics(x0=x0, v_m=expansion_velocity(mass, x0))
+
 
 def particle_mass(particle):
     """Mass in kg of a homogeneous sphere, (4/3) pi r^3 rho; every law of a
@@ -130,17 +139,16 @@ def clausius_mossotti(eps):
 
 def scenario_kinematics(scenario):
     """(mass, x0, v_m) of the scenario's particle in its trap."""
-    mass = particle_mass(scenario.particle)
-    x0 = ground_state_width(mass, scenario.trap.angular_frequency)
-    return mass, x0, expansion_velocity(mass, x0)
+    kin = scenario.kinematics
+    return scenario.particle.mass, kin.x0, kin.v_m
 
 
 def _permittivity_from(doc, key, path):
     sub = config.section(doc, key, path)
-    return ComplexPermittivity(
-        real_part=config.number(sub, "real", f"{path}.{key}"),
-        imag_part=config.number(sub, "imag", f"{path}.{key}"),
-    )
+    path = f"{path}.{key}"
+    return config.build(ComplexPermittivity, path,
+                        real_part=config.number(sub, "real", path),
+                        imag_part=config.number(sub, "imag", path))
 
 
 def scenario_from_mapping(doc, source="<scenario>"):
@@ -149,7 +157,8 @@ def scenario_from_mapping(doc, source="<scenario>"):
     env = config.section(doc, "environment", source)
     trap = config.section(doc, "trap", source)
 
-    particle = Particle(
+    particle = config.build(
+        Particle, f"{source}.particle",
         radius=config.quantity(part, f"{source}.particle",
                                {"radius_m": 1.0, "radius_nm": 1e-9}),
         density=config.number(part, "density_kg_m3", f"{source}.particle"),
@@ -158,7 +167,8 @@ def scenario_from_mapping(doc, source="<scenario>"):
         permittivity_bb=_permittivity_from(part, "permittivity_bb",
                                            f"{source}.particle"),
     )
-    environment = Environment(
+    environment = config.build(
+        Environment, f"{source}.environment",
         temperature=config.number(env, "temperature_K", f"{source}.environment"),
         pressure=config.quantity(env, f"{source}.environment",
                                  {"pressure_Pa": 1.0, "pressure_mbar": 100.0}),
@@ -172,7 +182,8 @@ def scenario_from_mapping(doc, source="<scenario>"):
         raise config.ConfigError(
             f"{source}.environment.temperature_K: must be positive when the "
             "gas pressure is non-zero")
-    trap_rec = Trap(
+    trap_rec = config.build(
+        Trap, f"{source}.trap",
         wavelength=config.quantity(trap, f"{source}.trap",
                                    {"wavelength_m": 1.0, "wavelength_nm": 1e-9}),
         power=config.number(trap, "power_W", f"{source}.trap"),

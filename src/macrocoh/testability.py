@@ -10,25 +10,29 @@ the testable radius intervals.
 The sweep works on columns.  The grid is one numpy array, set as the radius
 of the scenario's particle, and the same coefficient laws and closed-form
 CET that serve a single radius (`collapse`, `decoherence`, `expansion`) fill
-one column per law at once.  Every value equals the single-radius result bit
-for bit (`numerics` states the rule that makes it so), and the CSVs are
-written column by column.  A column that raises, or on which numpy flags a
-division by zero or an invalid operation, is solved again radius by radius
-with Python floats, so each failing cell gets its own message.  numpy is
-imported by the functions that build columns, never at module import.
+one column per law at once; the mass and `Scenario.kinematics` are evaluated
+once per column and shared by every law.  Every value equals the
+single-radius result bit for bit (`numerics` states the rule that makes it
+so), and the CSV texts are built column by column.  A column that raises, or
+on which numpy flags a division by zero or an invalid operation, is solved
+again radius by radius with Python floats, so each failing cell gets its own
+message and a NaN: a radius whose mass or kinematics fail fails only its
+row.  A NaN cell that raised nothing gets SILENT_NAN.  numpy is imported by
+the functions that build columns, never at module import.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 
 from .collapse import (CSL_ADLER, CSL_DEFAULT, CslParams, ModelId, csl_lambda,
                        dp_lambda, k_coherence_cell, k_lambda, qg_lambda)
-from .config import csv_cell
+from .config import csv_text
 from .decoherence import qm_channel_rates
-from .expansion import DecoherenceSpec, ExpansionKinematics, ced_or_inf
+from .expansion import DecoherenceSpec, ced_or_inf
 from .scenario import (PRESET_FILES, load_preset, particle_mass,  # noqa: F401
-                       scenario_kinematics, scenario_presets)
+                       scenario_presets)
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.points < 2:
             raise ValueError("a sweep needs at least 2 points")
+        for name in ("radius_min", "radius_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.radius_min < self.radius_max:
             raise ValueError("need 0 < radius_min < radius_max")
         if self.grid not in ("log", "linear"):
@@ -155,78 +162,50 @@ def model_decoherence_spec(model_spec, particle):
     raise ValueError(f"unknown model {model!r}")
 
 
-def _kinematics(scenario):
-    mass, x0, v_m = scenario_kinematics(scenario)
-    return mass, ExpansionKinematics(x0=x0, v_m=v_m)
+def _qm_ced(scenario):
+    return ced_or_inf(qm_channel_rates(scenario).as_decoherence_spec(),
+                      scenario.kinematics)
 
 
-def _qm_ced(scenario, kin):
-    return ced_or_inf(qm_channel_rates(scenario).as_decoherence_spec(), kin)
+def _model_ced(model_spec, scenario):
+    return ced_or_inf(model_decoherence_spec(model_spec, scenario.particle),
+                      scenario.kinematics)
 
 
-def _model_ced(model_spec, scenario, kin):
-    return ced_or_inf(model_decoherence_spec(model_spec, scenario.particle), kin)
+# the message of a NaN cell whose solve raised nothing
+SILENT_NAN = "CED is NaN: a non-finite intermediate value, nothing raised"
 
 
-def _kinematics_column(column):
-    import numpy as np
-
-    try:
-        return _kinematics(column)
-    except Exception:
-        # radius by radius, which raises what the first bad radius raises
-        # on its own, as a sweep row by row would
-        rows = [_kinematics(column.with_radius(r))
-                for r in column.particle.radius.tolist()]
-    return (np.array([mass for mass, _ in rows]),
-            ExpansionKinematics(x0=np.array([kin.x0 for _, kin in rows]),
-                                v_m=np.array([kin.v_m for _, kin in rows])))
-
-
-def _ced_column(cell, key, column, kin, errors):
-    """cell(scenario, kin) over the whole column, or radius by radius with
-    each failing cell's message recorded under `key` in `errors`."""
+def _column(cell, key, column, errors):
+    """cell(scenario) over the whole column, or radius by radius with each
+    failing cell's first message recorded under `key` in `errors`; a NaN
+    cell without a message gets SILENT_NAN."""
     import numpy as np
 
     radius = column.particle.radius
     try:
-        return np.broadcast_to(cell(column, kin), radius.shape)
+        values = np.broadcast_to(cell(column), radius.shape)
     except Exception:
-        pass
-    values = []
-    rows = zip(radius.tolist(), kin.x0.tolist(), kin.v_m.tolist())
-    for i, (r, x0, v_m) in enumerate(rows):
-        try:
-            values.append(cell(column.with_radius(r),
-                               ExpansionKinematics(x0=x0, v_m=v_m)))
-        except Exception as exc:  # recorded per cell, never aborts the sweep
-            errors.setdefault(i, {})[key] = str(exc)
-            values.append(math.nan)
-    return np.array(values)
-
-
-# the message of a NaN CED whose cell raised nothing
-SILENT_NAN = "CED is NaN: a non-finite intermediate value, nothing raised"
-
-
-def _silent_nans(key, values, errors):
-    """NaN mask of a CED column; a NaN cell that recorded no message gets
-    SILENT_NAN under `key` in `errors`."""
-    import numpy as np
-
-    nan = np.isnan(values)
-    for i in np.flatnonzero(nan).tolist():
+        values = []
+        for i, r in enumerate(radius.tolist()):
+            try:
+                values.append(cell(column.with_radius(r)))
+            except Exception as exc:  # recorded per cell, never aborts the sweep
+                errors.setdefault(i, {}).setdefault(key, str(exc))
+                values.append(math.nan)
+        values = np.array(values)
+    for i in np.flatnonzero(np.isnan(values)).tolist():
         errors.setdefault(i, {}).setdefault(key, SILENT_NAN)
-    return nan
+    return values
 
 
-def _violation_flags(ced_model, ced_qm, undecided):
-    """Flags of one model, None where `undecided` is set."""
+def _violation_flags(ced_model, ced_qm):
+    """Flags of one model, None where either CED is NaN."""
     import numpy as np
 
     # inf model CED never violates; inf QM CED dominates any finite model
     flags = (ced_model < ced_qm).tolist()
-    for i in np.flatnonzero(undecided).tolist():
+    for i in np.flatnonzero(np.isnan(ced_model) | np.isnan(ced_qm)).tolist():
         flags[i] = None
     return flags
 
@@ -239,23 +218,18 @@ def _solve(radii, scenario, models):
     errors = {}
     with np.errstate(divide="raise", invalid="raise", over="ignore",
                      under="ignore"):
-        mass, kin = _kinematics_column(column)
-        ced_qm = _ced_column(_qm_ced, "qm", column, kin, errors)
-        ced = {spec.name: _ced_column(partial(_model_ced, spec), spec.name,
-                                      column, kin, errors)
+        mass = _column(attrgetter("particle.mass"), "qm", column, errors)
+        ced_qm = _column(_qm_ced, "qm", column, errors)
+        ced = {spec.name: _column(partial(_model_ced, spec), spec.name,
+                                  column, errors)
                for spec in models}
-    qm_nan = _silent_nans("qm", ced_qm, errors)
-    violated = {name: _violation_flags(
-                    values, ced_qm, qm_nan | _silent_nans(name, values, errors))
-                for name, values in ced.items()}
-    keys = ["qm", *ced]
     return SweepTable(
         radius=column.particle.radius.tolist(), mass=mass.tolist(),
         ced_qm=ced_qm.tolist(),
         ced_model={name: values.tolist() for name, values in ced.items()},
-        violated=violated,
-        errors={i: {key: cell[key] for key in keys if key in cell}
-                for i, cell in sorted(errors.items())})
+        violated={name: _violation_flags(values, ced_qm)
+                  for name, values in ced.items()},
+        errors=dict(sorted(errors.items())))
 
 
 def sweep(config):
@@ -290,23 +264,22 @@ def violation_intervals(table, model_name):
 _FLAG_TEXT = {True: "true", False: "false", None: "nan"}
 
 
-def write_sweep_csv(table, model_names, stream):
-    """The sweep CSV, written column by column; floats as their repr."""
+def write_sweep_csv(table):
+    """Text of the sweep CSV, built column by column; floats as their repr."""
+    names = list(table.ced_model)
     header = ["radius_m", "mass_kg", "ced_qm_m"]
-    header += [f"ced_{name}_m" for name in model_names]
-    header += [f"violated_{name}" for name in model_names]
-    stream.write(",".join(header) + "\n")
+    header += [f"ced_{name}_m" for name in names]
+    header += [f"violated_{name}" for name in names]
     floats = [table.radius, table.mass, table.ced_qm]
-    floats += [table.ced_model[name] for name in model_names]
+    floats += [table.ced_model[name] for name in names]
     cells = [map(repr, values) for values in floats]
     cells += [map(_FLAG_TEXT.__getitem__, table.violated[name])
-              for name in model_names]
-    stream.writelines(line + "\n" for line in map(",".join, zip(*cells)))
+              for name in names]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
 
 
-def write_intervals_csv(intervals, stream):
-    """The intervals CSV of {model name: violation_intervals(...)}."""
-    stream.write("model,r_lo_m,r_hi_m\n")
-    for name, spans in intervals.items():
-        for lo, hi in spans:
-            stream.write(f"{name},{csv_cell(lo)},{csv_cell(hi)}\n")
+def write_intervals_csv(intervals):
+    """Text of the intervals CSV of {model name: violation_intervals(...)}."""
+    return csv_text(("model", "r_lo_m", "r_hi_m"),
+                    [(name, lo, hi) for name, spans in intervals.items()
+                     for lo, hi in spans])

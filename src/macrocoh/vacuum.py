@@ -184,7 +184,8 @@ def bake_out_power(area, temperature, emissivity=1.0):
 
 
 def _material_from_mapping(name, doc, path):
-    species = OutgassingSpecies(
+    species = config.build(
+        OutgassingSpecies, path,
         tml_percent=config.number(doc, "tml_percent", path),
         residence_time=config.quantity(
             doc, path, {"residence_time_s": 1.0, "residence_time_h": HOUR}),
@@ -192,7 +193,8 @@ def _material_from_mapping(name, doc, path):
             doc, path, {"species_mass_kg": 1.0, "species_mass_amu": CONSTANTS.m_u}),
     )
     # mass and area are normalization choices when a preset does not fix them
-    return MaterialOutgassing(
+    return config.build(
+        MaterialOutgassing, path,
         name=name,
         total_mass=config.number(doc, "total_mass_kg", path, default=1.0),
         species=(species,),

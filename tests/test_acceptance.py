@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion together with the measured numbers.
 """
 
-import io
 import math
 import time
 
@@ -212,17 +211,13 @@ def test_criterion_10_sweep_performance_and_determinism():
                    for name in ("csl", "csl_adler", "qg", "k", "dp"))
     config = SweepConfig(radius_min=1e-8, radius_max=5e-7, points=200,
                          scenario=scenario, models=models)
-    names = [m.name for m in models]
 
     t0 = time.perf_counter()
     rows = sweep(config)
     elapsed = time.perf_counter() - t0
 
-    first = io.StringIO()
-    write_sweep_csv(rows, names, first)
-    second = io.StringIO()
-    write_sweep_csv(sweep(config), names, second)
-    identical = first.getvalue() == second.getvalue()
+    first = write_sweep_csv(rows)
+    identical = first == write_sweep_csv(sweep(config))
 
     ok = elapsed < 10.0 and identical and len(rows) == 200
     _verdict("criterion-10 sweep-performance", ok,

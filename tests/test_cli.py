@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,48 @@ def test_testability_failed_qm_cells_are_undecided(tmp_path, capsys, monkeypatch
                      "is inconsistent'") == 4
 
 
+def test_testability_radius_beyond_the_particle_formulas_fails_its_row(
+        tmp_path, capsys):
+    # r^3 underflows at 1e-110 m and overflows at 1e110 m: those rows write
+    # nan, and the run still writes both CSVs and succeeds
+    out = tmp_path / "sweep.csv"
+    intervals = tmp_path / "intervals.csv"
+    assert main(["testability", "--radius-min", "1e-110", "--radius-max",
+                 "1e110", "--points", "7", "--out", str(out),
+                 "--intervals-out", str(intervals)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 7
+    for row in (rows[0], rows[-1]):
+        assert row["ced_qm_m"] == "nan"
+        assert {row[f"violated_{n}"] for n in ("csl", "qg", "k", "dp")} == {"nan"}
+    assert float(rows[3]["ced_qm_m"]) > 0.0
+    assert read_rows(intervals) == []
+    err = capsys.readouterr().err
+    assert "warning: r=1.000e-110 m: {'qm': 'mass and trap frequency" in err
+
+
+def test_testability_every_row_failing_exit_1(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["testability", "--radius-min", "1e-120", "--radius-max",
+                 "1e-110", "--points", "2", "--out", str(out)]) == 1
+    assert [row["ced_qm_m"] for row in read_rows(out)] == ["nan", "nan"]
+    assert (tmp_path / "sweep.csv.intervals.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--radius-max", "inf"), ("--radius-min", "inf"), ("--radius-min", "nan")])
+def test_testability_non_finite_radius_bound_exit_2(tmp_path, capsys, flag,
+                                                     value):
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["testability", flag, value, "--out", str(out)]) == 2
+    field = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == \
+        f"error: invalid input: {field} must be finite\n"
+    assert not out.exists()
+
+
 def test_testability_unknown_model_exit_2(tmp_path, capsys):
     assert main(["testability", "--models", "csl,unknown",
                  "--out", str(tmp_path / "x.csv")]) == 2
@@ -282,6 +325,17 @@ def test_vacuum_report_optional_columns(tmp_path):
                                                               rel=1e-3)
     assert float(rows[0]["attenuation_at_10_Eroom"]) == pytest.approx(
         3.86e39, rel=1e-2)
+
+
+@pytest.mark.parametrize("given", [["--patch-diameter", "1e-3"],
+                                   ["--distance", "0.1"]])
+def test_vacuum_report_dilution_needs_both_flags_exit_2(tmp_path, capsys,
+                                                        given):
+    out = tmp_path / "vac.csv"
+    assert main(["vacuum-report", *given, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--patch-diameter" in err and "--distance" in err
+    assert not out.exists()
 
 
 def test_vacuum_report_unknown_material_exit_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Malformed input YAML: a value of the wrong type or shape exits with code 2
-and one `error:` line naming the field by its dotted path."""
+and one `error:` line naming the field by its dotted path; a value out of a
+record's range names the mapping that holds it."""
 
 import contextlib
 import io
@@ -104,6 +105,20 @@ def assert_names_the_field(code, err, dotted):
 ])
 def test_malformed_field_exit_2(tmp_path, kind, path, value):
     assert_names_the_field(*run_with(kind, path, value, tmp_path))
+
+
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("scenario", ("trap", "power_W"), -0.1, "trap power must be positive"),
+    ("materials", ("species_table", "cfrp", "tml_percent"), -1.0,
+     "TML must be between 0 and 100 percent"),
+    ("orbit", ("perigee_altitude_km",), 7e5, "need apogee >= perigee >= 0"),
+])
+def test_out_of_range_value_names_its_section(tmp_path, kind, path, value,
+                                              message):
+    # a record's own range check names the mapping the record was read from
+    code, err, dotted = run_with(kind, path, value, tmp_path)
+    assert code == 2
+    assert err == f"error: {dotted.rsplit('.', 1)[0]}: {message}\n"
 
 
 def test_orbit_without_its_optional_sections(tmp_path):

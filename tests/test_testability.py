@@ -1,7 +1,6 @@
 """Radius sweeps, violation flags and intervals, scenario presets."""
 
 import dataclasses
-import io
 import math
 import random
 
@@ -9,7 +8,7 @@ import pytest
 
 from macrocoh import (CONSTANTS, CslParams, Environment,
                       ExpansionKinematics, InfiniteCoherenceError, ModelId,
-                      csl_lambda, expansion, qm_channel_rates,
+                      csl_lambda, expansion, numerics, qm_channel_rates,
                       scenario_kinematics)
 from macrocoh.config import ConfigError
 from macrocoh.testability import (MODEL_PRESETS, PRESET_FILES, SILENT_NAN,
@@ -135,13 +134,43 @@ def test_failing_cells_keep_their_messages_and_stay_undecided():
         "qm": SILENT_NAN}
 
 
-def test_kinematics_failure_is_that_of_the_first_bad_radius():
-    # the smallest radius has zero mass; the largest overflows r^3, which
-    # the column meets first, yet the error is the one a row-by-row sweep
-    # stops at
-    with pytest.raises(ValueError, match="mass and trap frequency"):
-        sweep(SweepConfig(radius_min=1e-110, radius_max=1e110, points=3,
-                          scenario=BASELINE, models=()))
+def test_a_radius_the_particle_formulas_cannot_take_fails_only_its_row():
+    # r^3 underflows to a zero mass at 1e-110 m and overflows at 1e110 m:
+    # those rows are NaN with messages under "qm" and every model, and the
+    # row between them is the one a single-radius evaluation gives
+    models = (MODEL_PRESETS["csl"], MODEL_PRESETS["k"], MODEL_PRESETS["dp"])
+    table = sweep(SweepConfig(radius_min=1e-110, radius_max=1e110, points=3,
+                              scenario=BASELINE, models=models))
+    assert list(table.errors) == [0, 2]
+    for i in (0, 2):
+        assert list(table.errors[i]) == ["qm", "csl", "k", "dp"]
+        assert math.isnan(table.ced_qm[i])
+        for name in ("csl", "k", "dp"):
+            assert math.isnan(table.ced_model[name][i])
+            assert table.violated[name][i] is None
+    assert table.mass[0] == 0.0 and math.isnan(table.mass[2])
+    assert "mass and trap frequency" in table.errors[0]["qm"]
+    assert "out of range" in table.errors[2]["qm"]
+    assert table[1] == evaluate_radius(table.radius[1], BASELINE, models)
+
+
+@pytest.mark.parametrize("points, names, passes", [
+    (2000, "csl,csl_adler,qg,k", 30), (200, "dp,k_sat", 20),
+    (50, "csl,csl_adler,qg,k,dp,k_sat", 43)])
+def test_libm_passes_per_sweep(monkeypatch, points, names, passes):
+    # each column evaluates the kinematics once, whatever the model count
+    calls = []
+    libm = numerics._libm
+
+    def counted(*args):
+        calls.append(args[0])
+        return libm(*args)
+
+    monkeypatch.setattr(numerics, "_libm", counted)
+    models = tuple(MODEL_PRESETS[name] for name in names.split(","))
+    sweep(SweepConfig(radius_min=1e-8, radius_max=5e-7, points=points,
+                      scenario=BASELINE, models=models))
+    assert len(calls) == passes
 
 
 def test_load_preset_reads_one_file_and_names_the_others():
@@ -260,9 +289,7 @@ def test_csv_round_trip_precision_and_layout():
     models = (MODEL_PRESETS["csl"], MODEL_PRESETS["k"])
     rows = sweep(SweepConfig(radius_min=1e-8, radius_max=1e-7, points=3,
                              scenario=BASELINE, models=models))
-    buf = io.StringIO()
-    write_sweep_csv(rows, ["csl", "k"], buf)
-    lines = buf.getvalue().splitlines()
+    lines = write_sweep_csv(rows).splitlines()
     assert lines[0] == ("radius_m,mass_kg,ced_qm_m,ced_csl_m,ced_k_m,"
                         "violated_csl,violated_k")
     assert len(lines) == 4
@@ -271,7 +298,6 @@ def test_csv_round_trip_precision_and_layout():
     assert float(first[2]) == rows[0].ced_qm
     assert first[5] in ("true", "false")
 
-    buf = io.StringIO()
-    write_intervals_csv({name: violation_intervals(rows, name)
-                         for name in ("csl", "k")}, buf)
-    assert buf.getvalue().splitlines()[0] == "model,r_lo_m,r_hi_m"
+    text = write_intervals_csv({name: violation_intervals(rows, name)
+                                for name in ("csl", "k")})
+    assert text.splitlines()[0] == "model,r_lo_m,r_hi_m"

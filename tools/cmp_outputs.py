@@ -1,0 +1,134 @@
+"""Run a fixed matrix of command-line invocations on two commits and print
+the runs whose outputs differ.
+
+    python3 tools/cmp_outputs.py <parent> <change>
+
+Each commit is exported with `export` from tools/bench_pairs.py into its own
+temporary directory.  Every invocation of the matrix runs there as a fresh
+`python -m macrocoh.cli` process, with the tree's src/ on PYTHONPATH, in an
+empty folder of its own.  A run's record is its exit code, stdout, stderr and
+the text of every file it wrote (CSVs and manifests), with each manifest's
+`created_utc` and the run folder blanked.
+
+The matrix is 3 presets x 8 radius ranges x log/linear grids x 2/7/301
+points x 3 model sets of `testability`, plus the report variants in REPORTS.
+Runs whose records differ are printed grouped by the parent's exit code and
+last stderr line; the exit code is 0 when every run matches and 1 otherwise.
+"""
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import export  # noqa: E402
+
+PRESETS = ("fig2_baseline", "fig3_left", "fig3_right")
+RANGES = (("1e-8", "5e-7"), ("1e-9", "1e-5"), ("1e-7", "1e60"),
+          ("1e-110", "1e110"), ("1e-40", "1e-38"), ("1e-20", "1e20"),
+          ("1e-120", "1e-7"), ("1e-7", "1e104"))
+GRIDS = ("log", "linear")
+POINTS = ("2", "7", "301")
+MODEL_SETS = ("csl,csl_adler,qg,k", "dp,k_sat", "csl,csl_adler,qg,k,dp,k_sat")
+REPORTS = (
+    *(("decoherence-report", "--preset", preset, "--out", "deco.csv")
+      for preset in PRESETS),
+    ("testability", "--out", "sweep.csv"),
+    ("testability", "--out", "sweep.csv",
+     "--intervals-out", "new/folder/intervals.csv"),
+    ("testability", "--radius-max", "inf", "--highlight-radius", "inf",
+     "--out", "sweep.csv"),
+    ("testability", "--highlight-radius", "nan", "--out", "sweep.csv"),
+    ("vacuum-report", "--out", "vacuum.csv"),
+    ("vacuum-report", "--patch-diameter", "1e-3", "--distance", "0.1",
+     "--cold-temperature", "30", "--time", "3600", "--out", "vacuum.csv"),
+    ("mission-report", "--out", "mission.csv"),
+    ("decoherence-report", "--preset", "nope", "--out", "deco.csv"),
+    ("testability", "--models", "csl,nope", "--out", "sweep.csv"),
+    ("vacuum-report", "--material", "wood", "--out", "vacuum.csv"),
+)
+CREATED = re.compile(r'("created_utc": )"[^"]*"')
+
+
+def matrix():
+    """Every invocation, as argument tuples, in a fixed order."""
+    sweeps = [("testability", "--preset", preset, "--radius-min", lo,
+               "--radius-max", hi, "--grid", grid, "--points", points,
+               "--models", models, "--out", "sweep.csv")
+              for preset in PRESETS for lo, hi in RANGES for grid in GRIDS
+              for points in POINTS for models in MODEL_SETS]
+    return sweeps + list(REPORTS)
+
+
+def normalize(record, folder):
+    """`record` with every manifest's created_utc and the run folder blanked."""
+    def blank(text):
+        return CREATED.sub(r'\1""', text.replace(folder, "<out>"))
+
+    return {"exit": record["exit"], "stdout": blank(record["stdout"]),
+            "stderr": blank(record["stderr"]),
+            "files": {name: blank(text)
+                      for name, text in record["files"].items()}}
+
+
+def run(tree, args, folder):
+    """The normalized record of one invocation of the CLI in `tree`."""
+    folder.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src")))
+    proc = subprocess.run([sys.executable, "-m", "macrocoh.cli", *args],
+                          cwd=folder, env=env, capture_output=True, text=True)
+    files = {str(path.relative_to(folder)): path.read_text(encoding="utf-8")
+             for path in sorted(folder.rglob("*")) if path.is_file()}
+    return normalize({"exit": proc.returncode, "stdout": proc.stdout,
+                      "stderr": proc.stderr, "files": files}, str(folder))
+
+
+def last_line(text):
+    lines = text.strip().splitlines()
+    return lines[-1] if lines else ""
+
+
+def differing(commands, parent, change):
+    """{(parent exit code, parent's last stderr line): [(command, change
+    record), ...]} of the runs whose records differ."""
+    groups = {}
+    for args, old, new in zip(commands, parent, change, strict=True):
+        if old != new:
+            key = (old["exit"], last_line(old["stderr"]))
+            groups.setdefault(key, []).append((" ".join(args), new))
+    return groups
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    commands = matrix()
+    records = {}
+    with tempfile.TemporaryDirectory(prefix="cmp_outputs_") as tmp, \
+            ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        for side, commit in zip(("parent", "change"), args):
+            tree = Path(tmp, side, "tree")
+            export(commit, tree)
+            folders = [Path(tmp, side, "runs", str(i))
+                       for i in range(len(commands))]
+            records[side] = list(pool.map(run, [tree] * len(commands),
+                                          commands, folders))
+    groups = differing(commands, records["parent"], records["change"])
+    for (code, line), runs in sorted(groups.items()):
+        print(f"parent exit {code}, {line or '<no stderr>'}: {len(runs)} runs")
+        for command, new in runs:
+            print(f"  {command}\n    change exit {new['exit']}, "
+                  f"{last_line(new['stderr']) or '<no stderr>'}")
+    total = sum(map(len, groups.values()))
+    print(f"{total} of {len(commands)} runs differ")
+    return 1 if total else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
