@@ -29,12 +29,12 @@ def test_matrix_covers_every_sweep_and_report_once():
 
 
 def test_normalize_blanks_the_time_and_the_run_folder():
-    one = record(stderr="error: /tmp/a/1/x: cannot write\n", files={
-        "sweep.csv.manifest.json": MANIFEST % ("2026-01-01T00:00:00", "/tmp/a/1")})
-    two = record(stderr="error: /tmp/b/1/x: cannot write\n", files={
-        "sweep.csv.manifest.json": MANIFEST % ("2027-05-05T11:11:11", "/tmp/b/1")})
-    one, two = (cmp_outputs.normalize(one, "/tmp/a/1"),
-                cmp_outputs.normalize(two, "/tmp/b/1"))
+    one = record(stderr="error: /runs/a/1/x: cannot write\n", files={
+        "sweep.csv.manifest.json": MANIFEST % ("2026-01-01T00:00:00", "/runs/a/1")})
+    two = record(stderr="error: /runs/b/1/x: cannot write\n", files={
+        "sweep.csv.manifest.json": MANIFEST % ("2027-05-05T11:11:11", "/runs/b/1")})
+    one, two = (cmp_outputs.normalize(one, "/runs/a/1"),
+                cmp_outputs.normalize(two, "/runs/b/1"))
     assert one == two
     assert one["stderr"] == "error: <out>/x: cannot write\n"
     assert '"created_utc": ""' in one["files"]["sweep.csv.manifest.json"]
