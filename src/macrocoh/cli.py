@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 computation failure or budget mismatch warning,
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -420,7 +421,13 @@ def main(argv=None):
 
 
 def entrypoint():
-    sys.exit(main())
+    status = main()
+    # the process ends here: move every object into the permanent
+    # generation, so that shutdown skips the cyclic-GC pass over what numpy,
+    # PyYAML and argparse made, and the OS reclaims it.  main() never
+    # freezes, as library callers run it many times in one process.
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

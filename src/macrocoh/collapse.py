@@ -10,8 +10,8 @@ is a column, one sphere per element (see `numerics`).
 
 import enum
 import math
-from dataclasses import dataclass
 
+from .config import record
 from .constants import CONSTANTS
 from .numerics import any_true, exp, piecewise, power
 from .scenario import particle_mass
@@ -24,7 +24,7 @@ class ModelId(str, enum.Enum):
     DP = "dp"
 
 
-@dataclass(frozen=True)
+@record
 class CslParams:
     """CSL localization rate and inverse-squared localization length."""
 

@@ -1,10 +1,11 @@
 """Physical constants in SI units (CODATA 2018 where applicable)."""
 
 import math
-from dataclasses import dataclass
+
+from .config import record
 
 
-@dataclass(frozen=True)
+@record
 class PhysicalConstants:
     """Shared constant set; immutable so a single module-level instance suffices."""
 

@@ -9,8 +9,8 @@ channels assume a spectrally constant permittivity over the thermal band.
 """
 
 import math
-from dataclasses import dataclass
 
+from .config import record
 from .constants import CONSTANTS
 from .expansion import DecoherenceSpec
 from .numerics import any_true, power, quad_checked
@@ -72,7 +72,7 @@ def bb_emit_lambda(particle, internal_temperature):
     return _bb_photon_lambda(particle, internal_temperature)
 
 
-@dataclass(frozen=True)
+@record
 class EmissionSpectrum:
     """Photon-emission spectrum of a heated dielectric sphere.
 
@@ -166,7 +166,7 @@ def emission_spectrum(particle, internal_temperature):
     )
 
 
-@dataclass(frozen=True)
+@record
 class ChannelRates:
     """Per-channel decoherence parameters of a scenario."""
 

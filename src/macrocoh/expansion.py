@@ -26,9 +26,9 @@ element bit for bit.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 
+from .config import record
 from .numerics import (all_true, any_true, hypot, piecewise, power,
                        quad_checked, sqrt)
 
@@ -40,7 +40,7 @@ class InfiniteCoherenceError(Exception):
     """The decoherence exposure never reaches the 4*Gamma = 1 threshold."""
 
 
-@dataclass(frozen=True)
+@record
 class ExpansionKinematics:
     x0: float   # m, ground-state width
     v_m: float  # m/s, spreading velocity
@@ -58,7 +58,7 @@ class ExpansionKinematics:
         return power(self.v_m, 2)
 
 
-@dataclass(frozen=True)
+@record
 class DecoherenceSpec:
     """Decoherence law Lambda min(dx, b)^2 + F_c, plus an optional general part.
 

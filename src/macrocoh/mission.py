@@ -6,7 +6,6 @@ eccentric-anomaly -> mean-anomaly chain around perigee.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import config
 from .constants import CONSTANTS, STANDARD_GRAVITY
@@ -15,7 +14,7 @@ EARTH_RADIUS = 6.371e6     # m
 EARTH_MU = 3.986e14        # m^3/s^2
 
 
-@dataclass(frozen=True)
+@config.record
 class OrbitElements:
     """Two-body ellipse given by apogee/perigee altitudes above the body."""
 
@@ -54,7 +53,7 @@ def orbital_period(orbit):
     return 2.0 * math.pi * math.sqrt(orbit.semi_major_axis**3 / orbit.body_mu)
 
 
-@dataclass(frozen=True)
+@config.record
 class GravitySample:
     acceleration: float  # m/s^2
     g_fraction: float    # relative to 9.81 m/s^2
@@ -101,7 +100,7 @@ def altitude_window(orbit, h_lo, h_hi):
     return 2.0 * (time_from_perigee(orbit, h_hi) - time_from_perigee(orbit, h_lo))
 
 
-@dataclass(frozen=True)
+@config.record
 class IntegratedAccuracy:
     absolute: float    # m/s^2 after integration
     fractional: float  # relative to the reference acceleration
@@ -116,7 +115,7 @@ def integrated_accuracy(psd, integration_time, reference_accel=1.0):
                               fractional=absolute / reference_accel)
 
 
-@dataclass(frozen=True)
+@config.record
 class ThrusterNoise:
     accel_psd: float       # (m/s^2)/sqrt(Hz)
     position_spread: float  # m
@@ -155,7 +154,7 @@ def cooling_noise_threshold(g0, quality_factor, temperature):
     return g0**2 * CONSTANTS.hbar * quality_factor / (CONSTANTS.k_B * temperature)
 
 
-@dataclass(frozen=True)
+@config.record
 class BudgetLedger:
     name: str
     unit: str               # "kg" or "W"
@@ -167,7 +166,7 @@ class BudgetLedger:
             raise ValueError(f"budget {self.name!r} has no line items")
 
 
-@dataclass(frozen=True)
+@config.record
 class BudgetCheck:
     computed_total: float
     declared_total: float

@@ -97,12 +97,24 @@ def _libm(fn, *args):
 
 
 def power(x, exponent):
-    """x ** exponent by libm; raises OverflowError as float ** does."""
-    return _libm(pow, x, exponent) if is_column(x) else x ** exponent
+    """x ** exponent by libm; an overflow raises OverflowError, which for a
+    scalar names the operands."""
+    if is_column(x):
+        return _libm(pow, x, exponent)
+    try:
+        return x ** exponent
+    except OverflowError:
+        raise OverflowError(
+            f"{x:g} ** {exponent:g} overflows a float") from None
 
 
 def exp(x):
-    return _libm(math.exp, x) if is_column(x) else math.exp(x)
+    if is_column(x):
+        return _libm(math.exp, x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise OverflowError(f"exp({x:g}) overflows a float") from None
 
 
 def hypot(x, y):

@@ -7,20 +7,19 @@ the free-evolution width is sigma(t) = sqrt(x0^2 + v_m^2 t^2).
 """
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import config
 from .constants import CONSTANTS
 from .expansion import ExpansionKinematics
-from .numerics import all_true, power, sqrt
+from .numerics import all_true, any_true, power, sqrt
 
 # Typical mechanical frequency for a nanosphere in a ~10 um-waist optical
 # trap; a configuration input, not derivable from trap power alone.
 DEFAULT_TRAP_FREQUENCY = 2.0 * math.pi * 1e5  # rad/s
 
 
-@dataclass(frozen=True)
+@config.record
 class ComplexPermittivity:
     """Relative permittivity; imaginary part >= 0 for a passive material."""
 
@@ -35,7 +34,7 @@ class ComplexPermittivity:
         return complex(self.real_part, self.imag_part)
 
 
-@dataclass(frozen=True)
+@config.record
 class Particle:
     radius: float    # m
     density: float   # kg/m^3
@@ -55,11 +54,16 @@ class Particle:
 
     @cached_property
     def mass(self):
-        """Mass in kg of the homogeneous sphere, (4/3) pi r^3 rho."""
-        return 4.0 / 3.0 * math.pi * self.radius_cubed * self.density
+        """Mass in kg of the homogeneous sphere, (4/3) pi r^3 rho; an
+        OverflowError when it exceeds the float range."""
+        mass = 4.0 / 3.0 * math.pi * self.radius_cubed * self.density
+        if any_true(mass == math.inf):
+            raise OverflowError("particle mass (4/3) pi r^3 rho overflows "
+                                "a float")
+        return mass
 
 
-@dataclass(frozen=True)
+@config.record
 class Environment:
     temperature: float        # K
     pressure: float           # Pa
@@ -73,7 +77,7 @@ class Environment:
             raise ValueError("gas particle mass must be positive")
 
 
-@dataclass(frozen=True)
+@config.record
 class Trap:
     wavelength: float            # m
     power: float                 # W
@@ -89,7 +93,7 @@ class Trap:
             raise ValueError("internal temperature must be non-negative")
 
 
-@dataclass(frozen=True)
+@config.record
 class Scenario:
     particle: Particle
     environment: Environment
@@ -98,7 +102,8 @@ class Scenario:
 
     def with_radius(self, radius):
         """Same material/environment/trap with a different sphere radius."""
-        return replace(self, particle=replace(self.particle, radius=radius))
+        return config.replace(
+            self, particle=config.replace(self.particle, radius=radius))
 
     @cached_property
     def kinematics(self):

@@ -22,20 +22,19 @@ the functions that build columns, never at module import.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 
 from .collapse import (CSL_ADLER, CSL_DEFAULT, CslParams, ModelId, csl_lambda,
                        dp_lambda, k_coherence_cell, k_lambda, qg_lambda)
-from .config import csv_text
+from .config import csv_text, factory, record
 from .decoherence import qm_channel_rates
 from .expansion import DecoherenceSpec, ced_or_inf
 from .scenario import (PRESET_FILES, load_preset, particle_mass,  # noqa: F401
                        scenario_presets)
 
 
-@dataclass(frozen=True)
+@record
 class ModelSpec:
     """A collapse model plus its parameterization, named so that two
     parameterizations of the same model can ride one sweep."""
@@ -60,7 +59,7 @@ MODEL_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class SweepConfig:
     radius_min: float
     radius_max: float
@@ -84,19 +83,19 @@ class SweepConfig:
             raise ValueError("model names must be unique within a sweep")
 
 
-@dataclass(frozen=True)
+@record
 class SweepRow:
     """One radius of a sweep; a view of a SweepTable row."""
 
     radius: float   # m
     mass: float     # kg
     ced_qm: float   # m; math.inf when coherence never decays
-    ced_model: dict = field(default_factory=dict)   # name -> m (inf/nan allowed)
-    violated: dict = field(default_factory=dict)    # name -> bool, None if undecided
-    errors: dict = field(default_factory=dict)      # name (or "qm") -> message
+    ced_model: dict = factory(dict)   # name -> m (inf/nan allowed)
+    violated: dict = factory(dict)    # name -> bool, None if undecided
+    errors: dict = factory(dict)      # name (or "qm") -> message
 
 
-@dataclass(frozen=True)
+@record
 class SweepTable:
     """A solved sweep stored by column, rows in grid order.
 
@@ -112,7 +111,7 @@ class SweepTable:
     ced_qm: list                  # m
     ced_model: dict               # name -> column of CED (m)
     violated: dict                # name -> column of True/False/None
-    errors: dict = field(default_factory=dict)
+    errors: dict = factory(dict)
 
     def __len__(self):
         return len(self.radius)

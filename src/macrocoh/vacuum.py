@@ -9,7 +9,6 @@ law sizes the bake-out heating power.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import config
 from .constants import CONSTANTS
@@ -19,7 +18,7 @@ HOUR = 3600.0
 MBAR = 100.0  # Pa
 
 
-@dataclass(frozen=True)
+@config.record
 class OutgassingSpecies:
     tml_percent: float     # total mass loss, percent of material mass
     residence_time: float  # s
@@ -34,7 +33,7 @@ class OutgassingSpecies:
             raise ValueError("species mass must be positive")
 
 
-@dataclass(frozen=True)
+@config.record
 class MaterialOutgassing:
     name: str
     total_mass: float      # kg
@@ -48,7 +47,7 @@ class MaterialOutgassing:
             raise ValueError("total mass and emitting area must be positive")
 
 
-@dataclass(frozen=True)
+@config.record
 class GasState:
     """Steady state above an outgassing plane; P = n k_B T by construction."""
 
@@ -58,7 +57,7 @@ class GasState:
     temperature: float           # K
 
 
-@dataclass(frozen=True)
+@config.record
 class EmissionSummary:
     """A measured outgassing summary row (SI units after loading)."""
 

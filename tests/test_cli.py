@@ -1,10 +1,11 @@
 """Command-line interface: reports, determinism, exit codes."""
 
 import csv
-import dataclasses
+import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from macrocoh.cli import main
+from macrocoh.config import replace
 from macrocoh.scenario import scenario_kinematics
 from macrocoh.testability import scenario_presets
 
@@ -220,9 +222,8 @@ def test_testability_failed_qm_cells_are_undecided(tmp_path, capsys, monkeypatch
     # a scenario built in code can skip the zero-temperature check of
     # load_scenario; every QM cell then fails, and no flag may read "false"
     base = scenario_presets()["fig2_baseline"]
-    cold = dataclasses.replace(
-        base, environment=dataclasses.replace(base.environment,
-                                              temperature=0.0))
+    cold = replace(base, environment=replace(base.environment,
+                                             temperature=0.0))
     assert cold.environment.pressure > 0.0
     # the CLI resolves presets through the scenario module at call time
     monkeypatch.setattr("macrocoh.scenario.load_preset", lambda name: cold)
@@ -260,6 +261,30 @@ def test_testability_radius_beyond_the_particle_formulas_fails_its_row(
     assert read_rows(intervals) == []
     err = capsys.readouterr().err
     assert "warning: r=1.000e-110 m: {'qm': 'mass and trap frequency" in err
+
+
+def test_testability_overflow_messages_name_the_operation(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["testability", "--radius-min", "1e-110", "--radius-max",
+                 "1e110", "--points", "7", "--out", str(out)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and not [line for line in lines if "(34, " in line]
+    for radius in ("4.642e-74", "2.154e-37"):
+        line, = [line for line in lines if f"r={radius} m:" in line]
+        assert re.search(r"'k': '[0-9.e+]+ \*\* \d overflows a float'", line)
+
+
+def test_testability_mass_overflow_writes_nan_and_names_the_mass(tmp_path,
+                                                                 capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["testability", "--radius-min", "1e-7", "--radius-max",
+                 "1e102", "--points", "2", "--models", "qg,dp",
+                 "--out", str(out)]) == 0
+    last = out.read_text().splitlines()[-1]
+    assert last == "1e+102," + ",".join(["nan"] * 6)
+    message = "'particle mass (4/3) pi r^3 rho overflows a float'"
+    assert (f"warning: r=1.000e+102 m: {{'qm': {message}, 'qg': {message}, "
+            f"'dp': {message}}}") in capsys.readouterr().err
 
 
 def test_testability_every_row_failing_exit_1(tmp_path):
@@ -548,3 +573,27 @@ def test_repeated_in_process_calls_match_fresh_processes(tmp_path, capsys,
     assert _outputs(inside) == _outputs(fresh)
     assert len(_outputs(inside)) == 15
     assert cli.build_parser() is not parser
+
+
+def test_main_leaves_the_gc_unfrozen(tmp_path):
+    # only entrypoint(), which ends the process, freezes the collector
+    frozen = gc.get_freeze_count()
+    assert main(["testability", "--points", "3",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["mission-report", "--out", str(tmp_path / "m.csv")]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_entrypoint_freezes_the_gc_before_exit(tmp_path, monkeypatch):
+    from macrocoh import cli
+
+    monkeypatch.setattr(sys, "argv", ["macrocoh", "vacuum-report", "--out",
+                                      str(tmp_path / "v.csv")])
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entrypoint()
+        assert exit_info.value.code == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert (tmp_path / "v.csv").exists()

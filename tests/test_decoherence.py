@@ -5,6 +5,7 @@ import pytest
 from macrocoh import (CONSTANTS, ComplexPermittivity, Environment, Particle,
                       bb_absorb_lambda, bb_emit_lambda, bb_scatter_lambda,
                       emission_spectrum, gas_collision_rate, qm_channel_rates)
+from macrocoh.config import replace
 from macrocoh.decoherence import ChannelRates
 from macrocoh.testability import scenario_presets
 
@@ -184,12 +185,11 @@ def test_spectrum_rejects_nonpositive_temperature():
 
 def test_channel_rates_all_zero_limit():
     sc = scenario_presets()["fig2_baseline"]
-    import dataclasses
-    zero = dataclasses.replace(
+    zero = replace(
         sc,
         environment=Environment(temperature=0.0, pressure=0.0,
                                 gas_particle_mass=2.0 * CONSTANTS.m_u),
-        trap=dataclasses.replace(sc.trap, internal_temperature=0.0))
+        trap=replace(sc.trap, internal_temperature=0.0))
     rates = qm_channel_rates(zero)
     assert rates.gas_rate == 0.0
     assert rates.total_lambda == 0.0

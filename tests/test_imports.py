@@ -185,3 +185,12 @@ def test_bad_field_exit_2_names_the_field(tmp_path, capsys, monkeypatch,
                  "--out", str(tmp_path / "m.csv")]) == 2
     assert (f"{budgets}.mass_budgets.dry.declared_total: expected a number, "
             "got 'oops'") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    "decoherence-report", "mission-report", "vacuum-report"])
+def test_reports_load_neither_dataclasses_nor_inspect(tmp_path, command):
+    # records are built by config.record, which compiles nothing
+    _, packages = loaded_after(run_command([command, "--out", "report.csv"]),
+                               tmp_path)
+    assert "dataclasses" not in packages and "inspect" not in packages

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from macrocoh.numerics import all_true, any_true, piecewise
+from macrocoh.numerics import all_true, any_true, exp, piecewise, power
 
 # (name, condition column); each kind of column the branch decisions meet
 COLUMNS = [
@@ -65,3 +65,11 @@ def test_piecewise_gives_a_fresh_column():
     out = piecewise(x > 0.0, (x,), lambda values: values, lambda values: -values)
     out[0] = 5.0
     assert x.tolist() == [1.0, 2.0]
+
+
+def test_a_scalar_overflow_names_the_operation():
+    with pytest.raises(OverflowError, match=r"^1e\+200 \*\* 2 overflows a float$"):
+        power(1e200, 2)
+    with pytest.raises(OverflowError, match=r"^exp\(1000\) overflows a float$"):
+        exp(1000.0)
+    assert power(3.0, 2) == 9.0 and exp(0.0) == 1.0

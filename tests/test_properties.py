@@ -8,7 +8,6 @@ Spheres for the DP and saturated-K laws have radii 1e-9..1e-5 m and densities
 500..25000 kg/m^3, with the permittivities of the shipped baseline.
 """
 
-import dataclasses
 import math
 
 from hypothesis import given
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 
 from macrocoh import (DecoherenceSpec, ExpansionKinematics, cet_closed_form,
                       dp_rate, gamma, scenario_kinematics)
+from macrocoh.config import replace
 from macrocoh.testability import (MODEL_PRESETS, model_decoherence_spec,
                                   scenario_presets)
 
@@ -38,7 +38,7 @@ LAWS = st.builds(DecoherenceSpec, quadratic_lambda=LAMBDA,
 SATURATED_LAWS = st.builds(DecoherenceSpec, quadratic_lambda=LAMBDA,
                            constant_rate=CONSTANT,
                            saturation_separation=SATURATION)
-SPHERES = st.builds(lambda radius, density: dataclasses.replace(
+SPHERES = st.builds(lambda radius, density: replace(
     BASELINE.particle, radius=radius, density=density),
     decades(-9.0, -5.0), st.floats(500.0, 25000.0))
 
@@ -70,8 +70,7 @@ def test_dp_and_k_sat_continuous_at_saturation(particle, name):
         assert dp_rate(particle, b) == at
         assert abs(dp_rate(particle, b * (1.0 - eps)) - at) <= 3.0 * eps * at
     # Gamma has no jump where the packet reaches b
-    _, x0, v_m = scenario_kinematics(dataclasses.replace(BASELINE,
-                                                         particle=particle))
+    _, x0, v_m = scenario_kinematics(replace(BASELINE, particle=particle))
     kin = ExpansionKinematics(x0=x0, v_m=v_m)
     half = 0.5 * b
     if half > x0:

@@ -8,8 +8,8 @@ from macrocoh import (CONSTANTS, ComplexPermittivity, Environment, Particle,
                       PhysicalConstants, Scenario, Trap, clausius_mossotti,
                       expansion_velocity, ground_state_width, particle_mass,
                       scenario_kinematics)
-from macrocoh.config import ConfigError
-from macrocoh.scenario import load_scenario, scenario_from_mapping
+from macrocoh.config import ConfigError, replace
+from macrocoh.scenario import load_preset, load_scenario, scenario_from_mapping
 from macrocoh.testability import scenario_presets
 
 SILICA = 2201.0  # kg/m^3
@@ -227,3 +227,39 @@ def test_loader_rejects_ambiguous_units(tmp_path):
     }
     with pytest.raises(ConfigError, match="only one of"):
         scenario_from_mapping(doc)
+
+
+def test_records_are_read_only_and_cache_derived_values():
+    particle = make_particle()
+    with pytest.raises(AttributeError, match="frozen"):
+        particle.radius = 1e-7
+    with pytest.raises(AttributeError, match="frozen"):
+        del particle.density
+    assert particle.radius == 90e-9
+    assert particle.mass is particle.mass  # cached_property, computed once
+    assert vars(particle)["mass"] == particle_mass(particle)
+
+
+def test_replace_checks_the_new_record():
+    particle = make_particle()
+    assert replace(particle, radius=50e-9) == make_particle(radius=50e-9)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        replace(particle, radius=-1.0)
+    with pytest.raises(TypeError):
+        replace(particle, diameter=1e-7)
+    assert particle.radius == 90e-9
+
+
+def test_records_compare_hash_and_print_by_their_fields():
+    assert load_preset("fig3_left") == scenario_presets()["fig3_left"]
+    assert hash(load_preset("fig3_left")) == hash(load_preset("fig3_left"))
+    assert load_preset("fig3_left") != load_preset("fig2_baseline")
+    assert ComplexPermittivity(2.1, 0.57) == EPS_BB
+    assert ComplexPermittivity(2.1, 0.57) != (2.1, 0.57)
+    assert repr(EPS_BB) == "ComplexPermittivity(real_part=2.1, imag_part=0.57)"
+    assert Trap(1064e-9, 0.1, 1e-5, 98.0).angular_frequency == \
+        2.0 * math.pi * 1e5
+    with pytest.raises(TypeError, match="missing field 'imag_part'"):
+        ComplexPermittivity(2.1)
+    with pytest.raises(TypeError):
+        ComplexPermittivity(2.1, 0.57, real_part=2.0)

@@ -1,6 +1,5 @@
 """Radius sweeps, violation flags and intervals, scenario presets."""
 
-import dataclasses
 import math
 import random
 
@@ -10,9 +9,9 @@ from macrocoh import (CONSTANTS, CslParams, Environment,
                       ExpansionKinematics, InfiniteCoherenceError, ModelId,
                       csl_lambda, expansion, numerics, qm_channel_rates,
                       scenario_kinematics)
-from macrocoh.config import ConfigError
+from macrocoh.config import ConfigError, replace
 from macrocoh.testability import (MODEL_PRESETS, PRESET_FILES, SILENT_NAN,
-                                  ModelSpec, SweepConfig, SweepTable,
+                                  ModelSpec, SweepConfig, SweepRow, SweepTable,
                                   evaluate_radius, load_preset,
                                   model_decoherence_spec, radius_grid,
                                   scenario_presets, sweep, violation_intervals,
@@ -22,11 +21,11 @@ BASELINE = scenario_presets()["fig2_baseline"]
 
 
 def zeroed_scenario():
-    return dataclasses.replace(
+    return replace(
         BASELINE,
         environment=Environment(temperature=0.0, pressure=0.0,
                                 gas_particle_mass=2.0 * CONSTANTS.m_u),
-        trap=dataclasses.replace(BASELINE.trap, internal_temperature=0.0))
+        trap=replace(BASELINE.trap, internal_temperature=0.0))
 
 
 def test_zero_decoherence_sweep_flags_infinite_ced():
@@ -150,7 +149,7 @@ def test_a_radius_the_particle_formulas_cannot_take_fails_only_its_row():
             assert table.violated[name][i] is None
     assert table.mass[0] == 0.0 and math.isnan(table.mass[2])
     assert "mass and trap frequency" in table.errors[0]["qm"]
-    assert "out of range" in table.errors[2]["qm"]
+    assert table.errors[2]["qm"] == "1e+110 ** 3 overflows a float"
     assert table[1] == evaluate_radius(table.radius[1], BASELINE, models)
 
 
@@ -260,7 +259,7 @@ def test_scenario_presets_carry_cited_values():
     fig3_left = presets["fig3_left"]
     assert fig3_left.particle.permittivity_trap.imag_part == 2.5e-13
     # identical to the baseline except for the trap-band absorption
-    patched = dataclasses.replace(
+    patched = replace(
         fig2.particle, permittivity_trap=fig3_left.particle.permittivity_trap)
     assert patched == fig3_left.particle
     assert fig3_left.environment == fig2.environment
@@ -301,3 +300,28 @@ def test_csv_round_trip_precision_and_layout():
     text = write_intervals_csv({name: violation_intervals(rows, name)
                                 for name in ("csl", "k")})
     assert text.splitlines()[0] == "model,r_lo_m,r_hi_m"
+
+
+def test_a_mass_beyond_the_float_range_fails_its_row():
+    # r^3 is finite at 1e102 m but (4/3) pi r^3 rho is not: the row writes a
+    # NaN mass, and its messages name the mass, not a later step
+    with pytest.raises(OverflowError, match="particle mass"):
+        BASELINE.with_radius(1e102).particle.mass
+    models = (MODEL_PRESETS["qg"], MODEL_PRESETS["dp"])
+    table = sweep(SweepConfig(radius_min=1e-7, radius_max=1e102, points=2,
+                              scenario=BASELINE, models=models))
+    assert list(table.errors) == [1]
+    assert math.isnan(table.mass[1]) and math.isnan(table.ced_qm[1])
+    assert list(table.errors[1]) == ["qm", "qg", "dp"]
+    for message in table.errors[1].values():
+        assert message == "particle mass (4/3) pi r^3 rho overflows a float"
+    assert table[0] == evaluate_radius(1e-7, BASELINE, models)
+
+
+def test_sweep_tables_built_without_errors_get_their_own_dict():
+    columns = dict(radius=[], mass=[], ced_qm=[], ced_model={}, violated={})
+    first, second = SweepTable(**columns), SweepTable(**columns)
+    assert first.errors == second.errors == {}
+    assert first.errors is not second.errors
+    assert SweepRow(1e-7, 1e-17, 1e-8).errors is not \
+        SweepRow(1e-7, 1e-17, 1e-8).errors
