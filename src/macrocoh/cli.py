@@ -2,10 +2,12 @@
 
 Commands: decoherence-report, testability, vacuum-report, mission-report.
 Each imports the modules it needs when it runs, so building the parser loads
-none and the reports never load the sweep modules or numpy.  Each run writes
-one manifest, <first output>.manifest.json, naming all its outputs and the
-resolved inputs that produced them; timestamps live only in the manifest so
-repeated runs produce byte-identical data files.
+none and the reports never load the sweep modules or numpy; `testability`
+loads numpy only for a sweep of more than `testability.SCALAR_CELLS` cells
+(radii x (1 + models)), which its default of 50 radii x 4 models is not.
+Each run writes one manifest, <first output>.manifest.json, naming all its
+outputs and the resolved inputs that produced them; timestamps live only in
+the manifest so repeated runs produce byte-identical data files.
 
 Exit codes: 0 success, 1 computation failure or budget mismatch warning,
 2 input validation failure.

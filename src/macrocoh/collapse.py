@@ -88,7 +88,8 @@ def k_coherence_cell(particle):
     otherwise the point-particle value a2 = (L / l_P)^2 L holds.
     """
     mass = particle_mass(particle)
-    compton = CONSTANTS.hbar / (mass * CONSTANTS.c)
+    compton = CONSTANTS.hbar / _nonzero(
+        mass * CONSTANTS.c, "K-model Compton wavelength hbar / (m c)", "m c")
     extended = (power(particle.radius / CONSTANTS.planck_length, 2.0 / 3.0)
                 * compton)
     return piecewise(particle.radius >= extended, (extended, compton),
@@ -109,7 +110,18 @@ def k_lambda(particle, cell=None):
     mass = particle_mass(particle)
     if cell is None:
         cell = k_coherence_cell(particle)
-    return CONSTANTS.hbar / (8.0 * mass * power(cell, 4))
+    return CONSTANTS.hbar / _nonzero(
+        8.0 * mass * power(cell, 4),
+        "K-model coefficient hbar / (8 m a_c^4)", "8 m a_c^4")
+
+
+def _nonzero(denominator, law, name):
+    """The denominator of `law`; a ZeroDivisionError naming it when it (or
+    an element of it) has underflowed to 0."""
+    if any_true(denominator == 0.0):
+        raise ZeroDivisionError(
+            f"{law} divides by zero: {name} underflows to 0")
+    return denominator
 
 
 def dp_lambda(particle):

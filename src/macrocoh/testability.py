@@ -7,18 +7,23 @@ short of the quantum-theory one, i.e. the model predicts collapse where
 quantum theory still predicts interference.  Contiguous violated runs form
 the testable radius intervals.
 
-The sweep works on columns.  The grid is one numpy array, set as the radius
-of the scenario's particle, and the same coefficient laws and closed-form
-CET that serve a single radius (`collapse`, `decoherence`, `expansion`) fill
-one column per law at once; the mass and `Scenario.kinematics` are evaluated
-once per column and shared by every law.  Every value equals the
-single-radius result bit for bit (`numerics` states the rule that makes it
-so), and the CSV texts are built column by column.  A column that raises, or
-on which numpy flags a division by zero or an invalid operation, is solved
-again radius by radius with Python floats, so each failing cell gets its own
-message and a NaN: a radius whose mass or kinematics fail fails only its
-row.  A NaN cell that raised nothing gets SILENT_NAN.  numpy is imported by
-the functions that build columns, never at module import.
+The grid is built in pure Python on libm (`radius_grid`), in numpy's own
+operation order, so it is the same on every host.  A sweep of at most
+SCALAR_CELLS cells, radii x (1 + models), is solved radius by radius on
+Python floats and never imports numpy; that covers the CLI default (50 radii
+x 4 models) and `evaluate_radius`.  A larger sweep works on columns: the
+grid becomes one numpy array, set as the radius of the scenario's particle,
+and the same coefficient laws and closed-form CET that serve a single radius
+(`collapse`, `decoherence`, `expansion`) fill one column per law at once;
+the mass and `Scenario.kinematics` are evaluated once per column and shared
+by every law.  Every value equals the single-radius result bit for bit
+(`numerics` states the rule that makes it so), so both paths give the same
+table, and the CSV texts are built column by column.  A column that raises,
+or on which numpy flags a division by zero or an invalid operation, is
+halved and each half solved again; a part of at most LEAF_RADII radii that
+still raises is solved radius by radius, so each failing cell gets its own
+message and a NaN, and a radius whose mass or kinematics fail fails only its
+row.  A NaN cell that raised nothing gets SILENT_NAN.
 """
 
 import math
@@ -129,12 +134,22 @@ class SweepTable:
 
 
 def radius_grid(config):
-    """The sweep radii as a numpy column, ascending."""
-    import numpy as np
+    """The sweep radii as a list of Python floats, ascending.
 
+    numpy's `linspace` and `geomspace` in their own operation order, on
+    libm, so the grid is the same on every host: y_i = i*step + lo with
+    step = (hi - lo)/(n - 1), the first point lo and the last hi.  A log
+    grid takes lo and hi as math.log10 of the bounds and maps each inner
+    point to 10.0 ** y_i; its ends are the bounds themselves.
+    """
+    lo, hi, n = config.radius_min, config.radius_max, config.points
     if config.grid == "log":
-        return np.geomspace(config.radius_min, config.radius_max, config.points)
-    return np.linspace(config.radius_min, config.radius_max, config.points)
+        lo, hi = math.log10(lo), math.log10(hi)
+    step = (hi - lo) / (n - 1)
+    inner = [i * step + lo for i in range(1, n - 1)]
+    if config.grid == "log":
+        inner = [10.0 ** y for y in inner]
+    return [config.radius_min, *inner, config.radius_max]
 
 
 def model_decoherence_spec(model_spec, particle):
@@ -174,61 +189,111 @@ def _model_ced(model_spec, scenario):
 # the message of a NaN cell whose solve raised nothing
 SILENT_NAN = "CED is NaN: a non-finite intermediate value, nothing raised"
 
+# A sweep of at most this many cells, radii x (1 + models), is solved radius
+# by radius and never imports numpy; a larger one is solved by columns.  On
+# a 2-vCPU x86-64 VM a cell takes about 20 us by radius and 2-5 us in a
+# column, and importing numpy takes 170-210 ms.  So a fresh process gains
+# below several thousand cells, while a caller that already has numpy loses
+# 15-18 us per cell: about 6 ms at 400 cells, a few per cent of the import.
+SCALAR_CELLS = 400
+# A column that raises is halved down to parts of this many radii, which are
+# solved radius by radius.  A raising column attempt costs about as much as
+# 6-8 cells by radius, so the attempts add about a fifth to the cost of a
+# long failing stretch, and an isolated failure costs about 2 ms.
+LEAF_RADII = 64
 
-def _column(cell, key, column, errors):
-    """cell(scenario) over the whole column, or radius by radius with each
-    failing cell's first message recorded under `key` in `errors`; a NaN
-    cell without a message gets SILENT_NAN."""
+
+def _laws(models):
+    """(errors key, cell) of each column of a sweep, in table order: the
+    mass, the QM CED, then each model's CED."""
+    return [("qm", attrgetter("particle.mass")), ("qm", _qm_ced),
+            *((spec.name, partial(_model_ced, spec)) for spec in models)]
+
+
+def _cells(cell, key, rows, errors, start=0):
+    """cell(row) for each single-radius scenario of `rows`, as a list.  A
+    NaN cell records its first message under `key` in `errors`, at its row
+    index counted from `start`: the text of what it raised, else
+    SILENT_NAN."""
+    values = []
+    for i, row in enumerate(rows, start):
+        try:
+            value, message = cell(row), SILENT_NAN
+        except Exception as exc:  # recorded per cell, never aborts the sweep
+            value, message = math.nan, str(exc)
+        if value != value:
+            errors.setdefault(i, {}).setdefault(key, message)
+        values.append(value)
+    return values
+
+
+def _column(cell, key, column, errors, start=0):
+    """cell(column) as one numpy array.  A column that raises is halved and
+    each half solved again, so that only the parts of at most LEAF_RADII
+    radii that still raise go through `_cells` radius by radius."""
     import numpy as np
 
     radius = column.particle.radius
     try:
-        values = np.broadcast_to(cell(column), radius.shape)
-    except Exception:
-        values = []
-        for i, r in enumerate(radius.tolist()):
-            try:
-                values.append(cell(column.with_radius(r)))
-            except Exception as exc:  # recorded per cell, never aborts the sweep
-                errors.setdefault(i, {}).setdefault(key, str(exc))
-                values.append(math.nan)
-        values = np.array(values)
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        errors.setdefault(i, {}).setdefault(key, SILENT_NAN)
-    return values
+        return np.broadcast_to(cell(column), radius.shape)
+    except Exception:  # solved again in parts, each failing cell alone
+        pass
+    if len(radius) <= LEAF_RADII:
+        return np.array(_cells(cell, key, map(column.with_radius,
+                                              radius.tolist()),
+                               errors, start))
+    half = len(radius) // 2
+    return np.concatenate([
+        _column(cell, key, column.with_radius(radius[:half]), errors, start),
+        _column(cell, key, column.with_radius(radius[half:]), errors,
+                start + half)])
 
 
-def _violation_flags(ced_model, ced_qm):
-    """Flags of one model, None where either CED is NaN."""
+def _by_radius(radii, scenario, models):
+    """SweepTable solved radius by radius on Python floats; loads no
+    numpy."""
+    rows = [scenario.with_radius(r) for r in radii]
+    errors = {}
+    return _table(radii, models, [_cells(cell, key, rows, errors)
+                                  for key, cell in _laws(models)], errors)
+
+
+def _by_column(radii, scenario, models):
+    """SweepTable with each law solved as one numpy column."""
     import numpy as np
 
-    # inf model CED never violates; inf QM CED dominates any finite model
-    flags = (ced_model < ced_qm).tolist()
-    for i in np.flatnonzero(np.isnan(ced_model) | np.isnan(ced_qm)).tolist():
-        flags[i] = None
-    return flags
+    column = scenario.with_radius(np.array(radii, dtype=float))
+    errors = {}
+    columns = []
+    with np.errstate(divide="raise", invalid="raise", over="ignore",
+                     under="ignore"):
+        for key, cell in _laws(models):
+            values = _column(cell, key, column, errors)
+            for i in np.flatnonzero(np.isnan(values)).tolist():
+                errors.setdefault(i, {}).setdefault(key, SILENT_NAN)
+            columns.append(values.tolist())
+    return _table(radii, models, columns, errors)
+
+
+def _table(radii, models, columns, errors):
+    # flags are None where either CED is NaN; an inf model CED never
+    # violates, and an inf QM CED dominates any finite model
+    mass, ced_qm, *ced = columns
+    ced = {spec.name: values for spec, values in zip(models, ced)}
+    return SweepTable(
+        radius=list(radii), mass=mass, ced_qm=ced_qm, ced_model=ced,
+        violated={name: [None if m != m or q != q else m < q
+                         for m, q in zip(values, ced_qm)]
+                  for name, values in ced.items()},
+        errors=dict(sorted(errors.items())))
 
 
 def _solve(radii, scenario, models):
-    """SweepTable of the given radii, each law solved as one column."""
-    import numpy as np
-
-    column = scenario.with_radius(np.asarray(radii, dtype=float))
-    errors = {}
-    with np.errstate(divide="raise", invalid="raise", over="ignore",
-                     under="ignore"):
-        mass = _column(attrgetter("particle.mass"), "qm", column, errors)
-        ced_qm = _column(_qm_ced, "qm", column, errors)
-        ced = {spec.name: _column(partial(_model_ced, spec), spec.name,
-                                  column, errors)
-               for spec in models}
-    return SweepTable(
-        radius=column.particle.radius.tolist(), mass=mass.tolist(),
-        ced_qm=ced_qm.tolist(),
-        ced_model={name: values.tolist() for name, values in ced.items()},
-        violated={name: _violation_flags(values, ced_qm)
-                  for name, values in ced.items()},
-        errors=dict(sorted(errors.items())))
+    """SweepTable of the given radii, by radius up to SCALAR_CELLS cells and
+    by column above."""
+    radii = list(map(float, radii))
+    small = len(radii) * (1 + len(models)) <= SCALAR_CELLS
+    return (_by_radius if small else _by_column)(radii, scenario, models)
 
 
 def sweep(config):

@@ -153,6 +153,27 @@ def test_testability_deterministic_bytes(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_testability_bytes_do_not_depend_on_numpy_simd(tmp_path):
+    # the grid is built on libm and every column law uses libm or correctly
+    # rounded operations, so numpy's AVX-512 paths change no byte
+    args = ["testability", "--points", "2000", "--models",
+            "csl,csl_adler,qg,k,dp,k_sat"]
+    outputs = []
+    for name, extra in (("simd", {}), ("plain", {
+            "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"})):
+        out = tmp_path / name / "sweep.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "macrocoh.cli", *args, "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, **extra, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out.read_bytes(),
+                        Path(f"{out}.intervals.csv").read_bytes(),
+                        proc.stdout.replace(str(out), "<out>"), proc.stderr))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") == 2001
+
+
 def test_testability_default_run_finite_ced_in_former_bracketing_window(tmp_path, capsys):
     # the K cell at r = 1.4906e-8 m has a CET of 7.77e8 s, below TAU_CAP;
     # it used to be written as inf
@@ -191,7 +212,7 @@ def test_testability_zero_temperature_with_gas_exit_2(tmp_path, capsys):
 
 def test_testability_and_reports_run_without_scipy(tmp_path):
     # only the emission-spectrum quadrature needs scipy, and loads it then;
-    # only the testability sweep needs numpy
+    # only a testability sweep of more than SCALAR_CELLS cells needs numpy
     script = f"""
 import sys
 import macrocoh.cli
@@ -204,6 +225,9 @@ for command in ("decoherence-report", "vacuum-report", "mission-report"):
     assert main([command, "--out", out + "/" + command + ".csv"]) == 0
 assert not loaded("numpy"), "numpy loaded by a report"
 assert main(["testability", "--models", "dp,k_sat", "--points", "8",
+             "--out", out + "/s.csv"]) == 0
+assert not loaded("numpy"), "numpy loaded by a sweep of 24 cells"
+assert main(["testability", "--models", "dp,k_sat", "--points", "200",
              "--out", out + "/s.csv"]) == 0
 assert loaded("numpy")
 assert not loaded("scipy"), "scipy loaded"

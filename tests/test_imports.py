@@ -194,3 +194,17 @@ def test_reports_load_neither_dataclasses_nor_inspect(tmp_path, command):
     _, packages = loaded_after(run_command([command, "--out", "report.csv"]),
                                tmp_path)
     assert "dataclasses" not in packages and "inspect" not in packages
+
+
+def test_default_testability_and_evaluate_radius_load_no_numpy(tmp_path):
+    # 50 radii x 4 models and a single radius are solved radius by radius
+    _, packages = loaded_after(run_command(["testability", "--out", "s.csv"]),
+                               tmp_path)
+    assert "numpy" not in packages and "scipy" not in packages
+    own, packages = loaded_after(
+        "from macrocoh.testability import (MODEL_PRESETS, evaluate_radius,\n"
+        "                                  scenario_presets)\n"
+        "evaluate_radius(1e-7, scenario_presets()['fig2_baseline'],\n"
+        "                tuple(MODEL_PRESETS.values()))\n", tmp_path)
+    assert "testability" in own
+    assert "numpy" not in packages and "scipy" not in packages

@@ -1,14 +1,21 @@
 """Radius sweeps, violation flags and intervals, scenario presets."""
 
+import json
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from macrocoh import (CONSTANTS, CslParams, Environment,
                       ExpansionKinematics, InfiniteCoherenceError, ModelId,
-                      csl_lambda, expansion, numerics, qm_channel_rates,
-                      scenario_kinematics)
+                      csl_lambda, expansion, k_lambda, numerics,
+                      qm_channel_rates, scenario_kinematics, testability)
 from macrocoh.config import ConfigError, replace
 from macrocoh.testability import (MODEL_PRESETS, PRESET_FILES, SILENT_NAN,
                                   ModelSpec, SweepConfig, SweepRow, SweepTable,
@@ -18,6 +25,8 @@ from macrocoh.testability import (MODEL_PRESETS, PRESET_FILES, SILENT_NAN,
                                   write_intervals_csv, write_sweep_csv)
 
 BASELINE = scenario_presets()["fig2_baseline"]
+K_UNDERFLOW = ("K-model coefficient hbar / (8 m a_c^4) divides by zero: "
+               "8 m a_c^4 underflows to 0")
 
 
 def zeroed_scenario():
@@ -66,7 +75,7 @@ def test_sweep_is_a_pure_map_under_permutation():
     config = SweepConfig(radius_min=2e-8, radius_max=4e-7, points=8,
                          scenario=BASELINE, models=models)
     ordered = sweep(config)
-    shuffled = radius_grid(config).tolist()
+    shuffled = radius_grid(config)
     random.Random(7).shuffle(shuffled)
     recomputed = sorted((evaluate_radius(r, BASELINE, models)
                          for r in shuffled), key=lambda row: row.radius)
@@ -108,11 +117,11 @@ def test_failing_cells_keep_their_messages_and_stay_undecided():
     table = sweep(SweepConfig(radius_min=1e-7, radius_max=1e60, points=7,
                               scenario=BASELINE, models=models))
     assert list(table.errors) == [3, 4, 5, 6]
-    assert table.errors[3] == {"k": "float division by zero"}
+    assert table.errors[3] == {"k": K_UNDERFLOW}
     assert list(table.errors[6]) == ["qm", "csl", "k"]
     # the QM CED of row 5 is NaN although nothing raised: it gets a message
     assert math.isnan(table.ced_qm[5])
-    assert table.errors[5] == {"qm": SILENT_NAN, "k": "float division by zero"}
+    assert table.errors[5] == {"qm": SILENT_NAN, "k": K_UNDERFLOW}
     for name in ("csl", "k", "dp"):
         cells = zip(table.ced_model[name], table.ced_qm, table.violated[name])
         for ced_model, ced_qm, flag in cells:
@@ -157,7 +166,8 @@ def test_a_radius_the_particle_formulas_cannot_take_fails_only_its_row():
     (2000, "csl,csl_adler,qg,k", 30), (200, "dp,k_sat", 20),
     (50, "csl,csl_adler,qg,k,dp,k_sat", 43)])
 def test_libm_passes_per_sweep(monkeypatch, points, names, passes):
-    # each column evaluates the kinematics once, whatever the model count
+    # each column evaluates the kinematics once, whatever the model count;
+    # the column path is called directly, as small sweeps go by radius
     calls = []
     libm = numerics._libm
 
@@ -167,8 +177,10 @@ def test_libm_passes_per_sweep(monkeypatch, points, names, passes):
 
     monkeypatch.setattr(numerics, "_libm", counted)
     models = tuple(MODEL_PRESETS[name] for name in names.split(","))
-    sweep(SweepConfig(radius_min=1e-8, radius_max=5e-7, points=points,
-                      scenario=BASELINE, models=models))
+    radii = radius_grid(SweepConfig(radius_min=1e-8, radius_max=5e-7,
+                                    points=points, scenario=BASELINE,
+                                    models=models))
+    testability._by_column(radii, BASELINE, models)
     assert len(calls) == passes
 
 
@@ -325,3 +337,126 @@ def test_sweep_tables_built_without_errors_get_their_own_dict():
     assert first.errors is not second.errors
     assert SweepRow(1e-7, 1e-17, 1e-8).errors is not \
         SweepRow(1e-7, 1e-17, 1e-8).errors
+
+
+def _libm_grid(lo, hi, points, grid):
+    # numpy's linspace/geomspace operation order, written out on libm
+    if grid == "linear":
+        step = (hi - lo) / (points - 1)
+        return [i * step + lo for i in range(points - 1)] + [hi]
+    log_lo, log_hi = math.log10(lo), math.log10(hi)
+    step = (log_hi - log_lo) / (points - 1)
+    return ([lo] + [math.pow(10.0, i * step + log_lo)
+                    for i in range(1, points - 1)] + [hi])
+
+
+@given(st.floats(-120.0, 120.0), st.floats(1e-12, 200.0),
+       st.integers(2, 3000), st.sampled_from(["log", "linear"]))
+def test_radius_grid_is_the_libm_formula(log_lo, decades, points, grid):
+    lo = 10.0 ** log_lo
+    hi = lo * 10.0 ** decades
+    assume(lo < hi < math.inf)
+    radii = radius_grid(SweepConfig(radius_min=lo, radius_max=hi,
+                                    points=points, scenario=BASELINE,
+                                    models=(), grid=grid))
+    expected = _libm_grid(lo, hi, points, grid)
+    assert len(radii) == points
+    for i, (radius, value) in enumerate(zip(radii, expected)):
+        assert type(radius) is float and radius == value, (i, radius, value)
+    assert radii == sorted(radii)
+
+
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the disabled features are x86-64 ones")
+def test_radius_grid_equals_numpy_without_its_simd_paths():
+    # with its SIMD log10 and power disabled, numpy's grid functions call
+    # libm in the order radius_grid follows
+    rng = random.Random(11)
+    cases = [(10.0 ** rng.uniform(-110.0, 60.0), rng.uniform(0.01, 50.0),
+              rng.randint(2, 400), rng.choice(["log", "linear"]))
+             for _ in range(200)]
+    cases = [(lo, lo * 10.0 ** span, n, grid) for lo, span, n, grid in cases]
+    script = """
+import json, sys
+import numpy as np
+out = []
+for lo, hi, n, grid in json.loads(sys.stdin.read()):
+    make = np.geomspace if grid == "log" else np.linspace
+    out.append([x.hex() for x in make(lo, hi, n).tolist()])
+print(json.dumps(out))
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          input=json.dumps(cases), capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, **NO_AVX512))
+    assert proc.returncode == 0, proc.stderr
+    for case, grid in zip(cases, json.loads(proc.stdout), strict=True):
+        lo, hi, points, kind = case
+        radii = radius_grid(SweepConfig(radius_min=lo, radius_max=hi,
+                                        points=points, scenario=BASELINE,
+                                        models=(), grid=kind))
+        assert [r.hex() for r in radii] == grid, case
+
+
+def _same_tables(one, two):
+    # NaN cells compare by their text, as the CSV writes them
+    return (write_sweep_csv(one) == write_sweep_csv(two)
+            and one.violated == two.violated and one.errors == two.errors)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-8, 5e-7), (1e-110, 1e110),
+                                    (1e-7, 1e104)])
+@pytest.mark.parametrize("preset", sorted(PRESET_FILES))
+def test_scalar_and_column_paths_give_equal_tables(preset, lo, hi):
+    # the ranges beyond physical radii fail whole stretches of a column, so
+    # the column path halves them down to radius-by-radius parts
+    scenario = load_preset(preset)
+    models = tuple(MODEL_PRESETS.values())
+    radii = radius_grid(SweepConfig(radius_min=lo, radius_max=hi, points=301,
+                                    scenario=scenario, models=models))
+    by_radius = testability._by_radius(radii, scenario, models)
+    by_column = testability._by_column(radii, scenario, models)
+    assert _same_tables(by_radius, by_column)
+    if lo < 1e-100:
+        assert by_column.errors  # the halving is exercised
+
+
+def test_sweeps_choose_their_path_by_cell_count(monkeypatch):
+    calls = []
+    for name in ("_by_radius", "_by_column"):
+        def traced(radii, scenario, models, name=name,
+                   solve=getattr(testability, name)):
+            calls.append((name, len(radii), len(models)))
+            return solve(radii, scenario, models)
+
+        monkeypatch.setattr(testability, name, traced)
+    for points, names in ((50, "csl,qg,k,dp"), (200, "dp,k_sat"),
+                          (200, "csl"), (201, "k")):
+        models = tuple(MODEL_PRESETS[n] for n in names.split(","))
+        sweep(SweepConfig(radius_min=1e-8, radius_max=5e-7, points=points,
+                          scenario=BASELINE, models=models))
+    evaluate_radius(1e-7, BASELINE, tuple(MODEL_PRESETS.values()))
+    assert testability.SCALAR_CELLS == 400
+    assert calls == [("_by_radius", 50, 4), ("_by_column", 200, 2),
+                     ("_by_radius", 200, 1), ("_by_column", 201, 1),
+                     ("_by_radius", 1, 6)]
+
+
+@pytest.mark.parametrize("lo, hi, row, shown", [
+    (1e-110, 1e110, 4, "4.642e+36"), (1e-7, 1e60, 6, "1.000e+60")])
+def test_an_underflowed_k_denominator_names_the_law(lo, hi, row, shown):
+    # a_c^4 underflows at these radii, so 8 m a_c^4 is 0
+    models = (MODEL_PRESETS["k"], MODEL_PRESETS["k_sat"])
+    config = SweepConfig(radius_min=lo, radius_max=hi, points=7,
+                         scenario=BASELINE, models=models)
+    radius = radius_grid(config)[row]
+    assert f"{radius:.3e}" == shown
+    particle = BASELINE.with_radius(radius).particle
+    with pytest.raises(ZeroDivisionError) as exc:
+        k_lambda(particle)
+    assert str(exc.value) == K_UNDERFLOW
+    errors = sweep(config).errors[row]
+    assert errors["k"] == errors["k_sat"] == K_UNDERFLOW
