@@ -350,12 +350,12 @@ def _libm_grid(lo, hi, points, grid):
                     for i in range(1, points - 1)] + [hi])
 
 
-@given(st.floats(-120.0, 120.0), st.floats(1e-12, 200.0),
+@given(st.floats(-120.0, 120.0), st.floats(1e-12, 180.0),
        st.integers(2, 3000), st.sampled_from(["log", "linear"]))
 def test_radius_grid_is_the_libm_formula(log_lo, decades, points, grid):
     lo = 10.0 ** log_lo
     hi = lo * 10.0 ** decades
-    assume(lo < hi < math.inf)
+    assume(lo < hi)
     radii = radius_grid(SweepConfig(radius_min=lo, radius_max=hi,
                                     points=points, scenario=BASELINE,
                                     models=(), grid=grid))
