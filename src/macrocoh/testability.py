@@ -199,7 +199,9 @@ SCALAR_CELLS = 400
 # A column that raises is halved down to parts of this many radii, which are
 # solved radius by radius.  A raising column attempt costs about as much as
 # 6-8 cells by radius, so the attempts add about a fifth to the cost of a
-# long failing stretch, and an isolated failure costs about 2 ms.
+# long failing stretch, and an isolated failure costs about 2 ms.  Halving
+# down to single radii takes 5 times as long on a long stretch, and more than
+# solving the whole column radius by radius.
 LEAF_RADII = 64
 
 
@@ -254,8 +256,11 @@ def _by_radius(radii, scenario, models):
     numpy."""
     rows = [scenario.with_radius(r) for r in radii]
     errors = {}
-    return _table(radii, models, [_cells(cell, key, rows, errors)
-                                  for key, cell in _laws(models)], errors)
+    columns = [_cells(cell, key, rows, errors) for key, cell in _laws(models)]
+    ced_qm = columns[1]
+    flags = [[None if m != m or q != q else m < q
+              for m, q in zip(values, ced_qm)] for values in columns[2:]]
+    return _table(radii, models, columns, flags, errors)
 
 
 def _by_column(radii, scenario, models):
@@ -271,20 +276,26 @@ def _by_column(radii, scenario, models):
             values = _column(cell, key, column, errors)
             for i in np.flatnonzero(np.isnan(values)).tolist():
                 errors.setdefault(i, {}).setdefault(key, SILENT_NAN)
-            columns.append(values.tolist())
-    return _table(radii, models, columns, errors)
+            columns.append(values)
+    ced_qm = columns[1]
+    flags = [(values < ced_qm).tolist() for values in columns[2:]]
+    for model_flags, values in zip(flags, columns[2:]):
+        for i in np.flatnonzero(np.isnan(values) | np.isnan(ced_qm)).tolist():
+            model_flags[i] = None
+    return _table(radii, models, [values.tolist() for values in columns],
+                  flags, errors)
 
 
-def _table(radii, models, columns, errors):
-    # flags are None where either CED is NaN; an inf model CED never
-    # violates, and an inf QM CED dominates any finite model
+def _table(radii, models, columns, flags, errors):
+    """SweepTable of the mass, QM and model CED columns of `_laws` and each
+    model's flags: None where either CED is NaN, else model CED < QM CED, so
+    an inf model CED never violates and an inf QM CED dominates any finite
+    model."""
     mass, ced_qm, *ced = columns
-    ced = {spec.name: values for spec, values in zip(models, ced)}
+    names = [spec.name for spec in models]
     return SweepTable(
-        radius=list(radii), mass=mass, ced_qm=ced_qm, ced_model=ced,
-        violated={name: [None if m != m or q != q else m < q
-                         for m, q in zip(values, ced_qm)]
-                  for name, values in ced.items()},
+        radius=list(radii), mass=mass, ced_qm=ced_qm,
+        ced_model=dict(zip(names, ced)), violated=dict(zip(names, flags)),
         errors=dict(sorted(errors.items())))
 
 

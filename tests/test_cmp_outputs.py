@@ -4,8 +4,6 @@ records."""
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cmp_outputs.py"
 spec = importlib.util.spec_from_file_location("cmp_outputs", TOOL)
 cmp_outputs = importlib.util.module_from_spec(spec)
@@ -56,32 +54,3 @@ def test_differing_runs_grouped_by_the_parents_exit_and_last_stderr_line():
         (0, ""): [("testability 3", change[3])],
     }
     assert cmp_outputs.differing(commands, parent, parent) == {}
-
-
-def test_env_option_reaches_every_run(tmp_path):
-    # a stand-in tree whose CLI prints the variable the option sets
-    package = tmp_path / "tree" / "src" / "macrocoh"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text("")
-    (package / "cli.py").write_text(
-        "import os\nprint(os.environ.get('CMP_PROBE', '<unset>'))\n")
-    args = cmp_outputs.parse_args(
-        ["--env", "CMP_PROBE=a=b c", "--env", "OTHER=", "HEAD~1", "HEAD"])
-    assert (args.parent, args.change) == ("HEAD~1", "HEAD")
-    extra_env = dict(args.env)
-    assert extra_env == {"CMP_PROBE": "a=b c", "OTHER": ""}
-    record = cmp_outputs.run(tmp_path / "tree", ("testability",),
-                             tmp_path / "runs" / "0", extra_env)
-    assert record["stdout"] == "a=b c\n" and record["exit"] == 0
-    plain = cmp_outputs.run(tmp_path / "tree", ("testability",),
-                            tmp_path / "runs" / "1", {})
-    assert plain["stdout"] == "<unset>\n"
-    assert cmp_outputs.parse_args(["HEAD~1", "HEAD"]).env == []
-
-
-def test_env_option_needs_a_name_and_an_equals_sign(capsys):
-    for bad in ("NAME", "=VALUE"):
-        with pytest.raises(SystemExit) as exc:
-            cmp_outputs.parse_args(["--env", bad, "HEAD~1", "HEAD"])
-        assert exc.value.code == 2
-        assert "expected NAME=VALUE" in capsys.readouterr().err

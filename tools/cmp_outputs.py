@@ -1,18 +1,14 @@
 """Run a fixed matrix of command-line invocations on two commits and print
 the runs whose outputs differ.
 
-    python3 tools/cmp_outputs.py [--env NAME=VALUE ...] <parent> <change>
+    python3 tools/cmp_outputs.py <parent> <change>
 
 Each commit is exported with `export` from tools/bench_pairs.py into its own
 temporary directory.  Every invocation of the matrix runs there as a fresh
 `python -m macrocoh.cli` process, with the tree's src/ on PYTHONPATH, in an
-empty folder of its own.  Each `--env NAME=VALUE` sets one more variable in
-the environment of every run on both sides, for instance
-`--env NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3"` to
-compare against a parent whose numpy grid functions must not use AVX-512.
-A run's record is its exit code, stdout, stderr and the text of every file
-it wrote (CSVs and manifests), with each manifest's `created_utc` and the
-run folder blanked.
+empty folder of its own.  A run's record is its exit code, stdout, stderr and
+the text of every file it wrote (CSVs and manifests), with each manifest's
+`created_utc` and the run folder blanked.
 
 The matrix is 3 presets x 8 radius ranges x log/linear grids x 2/7/301
 points x 3 model sets of `testability`, plus the report variants in REPORTS.
@@ -20,7 +16,6 @@ Runs whose records differ are printed grouped by the parent's exit code and
 last stderr line; the exit code is 0 when every run matches and 1 otherwise.
 """
 
-import argparse
 import os
 import re
 import subprocess
@@ -80,11 +75,10 @@ def normalize(record, folder):
                       for name, text in record["files"].items()}}
 
 
-def run(tree, args, folder, extra_env):
-    """The normalized record of one invocation of the CLI in `tree`, with
-    the variables of `extra_env` added to its environment."""
+def run(tree, args, folder):
+    """The normalized record of one invocation of the CLI in `tree`."""
     folder.mkdir(parents=True)
-    env = {**os.environ, **extra_env, "PYTHONPATH": str(Path(tree, "src"))}
+    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src")))
     proc = subprocess.run([sys.executable, "-m", "macrocoh.cli", *args],
                           cwd=folder, env=env, capture_output=True, text=True)
     files = {str(path.relative_to(folder)): path.read_text(encoding="utf-8")
@@ -109,41 +103,22 @@ def differing(commands, parent, change):
     return groups
 
 
-def env_pair(text):
-    """(NAME, VALUE) of a NAME=VALUE argument."""
-    name, sep, value = text.partition("=")
-    if not (name and sep):
-        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
-    return name, value
-
-
-def parse_args(argv):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", help="parent commit")
-    parser.add_argument("change", help="changed commit")
-    parser.add_argument("--env", type=env_pair, action="append", default=[],
-                        metavar="NAME=VALUE",
-                        help="set NAME in the environment of every run on "
-                             "both sides; repeatable")
-    return parser.parse_args(argv)
-
-
 def main(argv=None):
-    args = parse_args(argv)
-    extra_env = dict(args.env)
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
     commands = matrix()
     records = {}
     with tempfile.TemporaryDirectory(prefix="cmp_outputs_") as tmp, \
             ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        for side, commit in (("parent", args.parent),
-                             ("change", args.change)):
+        for side, commit in zip(("parent", "change"), args):
             tree = Path(tmp, side, "tree")
             export(commit, tree)
             folders = [Path(tmp, side, "runs", str(i))
                        for i in range(len(commands))]
-            records[side] = list(pool.map(
-                run, [tree] * len(commands), commands, folders,
-                [extra_env] * len(commands)))
+            records[side] = list(pool.map(run, [tree] * len(commands),
+                                          commands, folders))
     groups = differing(commands, records["parent"], records["change"])
     for (code, line), runs in sorted(groups.items()):
         print(f"parent exit {code}, {line or '<no stderr>'}: {len(runs)} runs")
