@@ -10,7 +10,7 @@ outputs and the resolved inputs that produced them; timestamps live only in
 the manifest so repeated runs produce byte-identical data files.
 
 Exit codes: 0 success, 1 computation failure or budget mismatch warning,
-2 input validation failure.
+2 input validation failure, such as a NaN or infinite float flag.
 """
 
 import argparse
@@ -26,7 +26,6 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, csv_text, number, pair, section
-from .numerics import QuadratureError
 
 
 def prepare_output(path):
@@ -70,6 +69,16 @@ def write_manifest(command, inputs, outputs, parameters):
          "outputs": [str(p) for p in outputs], "parameters": parameters},
         indent=2, sort_keys=True) + "\n"
     atomic_write_text(str(outputs[0]) + ".manifest.json", manifest)
+
+
+def _require_finite(args, *names):
+    """A ConfigError naming the first float flag of `names` given as NaN or
+    infinite; an optional flag left out (None) passes."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            flag = name.replace("_", "-")
+            raise ConfigError(f"--{flag}: must be finite, got {value}")
 
 
 def _resolve_scenario(args):
@@ -146,6 +155,7 @@ def cmd_testability(args):
         radius_min=args.radius_min, radius_max=args.radius_max,
         points=args.points, grid=args.grid, scenario=scenario,
         models=tuple(models))
+    _require_finite(args, "highlight_radius")
     table = testability.sweep(config)
     names = [m.name for m in models]
     intervals = {name: testability.violation_intervals(table, name)
@@ -180,6 +190,8 @@ def cmd_testability(args):
 def cmd_vacuum_report(args):
     from . import vacuum
 
+    _require_finite(args, "sphere_radius", "time", "patch_diameter",
+                    "distance", "cold_temperature")
     if args.time < 0.0:
         raise ConfigError("--time: must be non-negative")
     temperature, _, summaries = vacuum.load_materials(args.materials)
@@ -417,7 +429,7 @@ def main(argv=None):
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"error: computation failed: {exc}", file=sys.stderr)
         return 1
 

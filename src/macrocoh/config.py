@@ -6,6 +6,7 @@ apogee_altitude_km, residence_time_h, ...).  libyaml parses YAML when PyYAML
 has it; both parsers feed the same safe constructors and give equal mappings.
 """
 
+import sys
 from importlib import resources
 from operator import attrgetter
 
@@ -59,7 +60,7 @@ def section(doc, key, path):
 
 
 def number(doc, key, path, default=None):
-    """Required (or defaulted) numeric field."""
+    """Required (or defaulted) finite numeric field."""
     if key not in doc:
         if default is not None:
             return float(default)
@@ -67,6 +68,9 @@ def number(doc, key, path, default=None):
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf or beyond a float
+        raise ConfigError(f"{path}.{key}: expected a finite number, "
+                          f"got {value!r}")
     return float(value)
 
 

@@ -8,33 +8,33 @@ quantum theory still predicts interference.  Contiguous violated runs form
 the testable radius intervals.
 
 The grid is built in pure Python on libm (`radius_grid`), in numpy's own
-operation order, so it is the same on every host.  A sweep of at most
-SCALAR_CELLS cells, radii x (1 + models), is solved radius by radius on
-Python floats and never imports numpy; that covers the CLI default (50 radii
-x 4 models) and `evaluate_radius`.  A larger sweep works on columns: the
-grid becomes one numpy array, set as the radius of the scenario's particle,
-and the same coefficient laws and closed-form CET that serve a single radius
+operation order, so it is the same on every host.  One recursion solves the
+laws of a sweep (mass, QM CED, each model's CED).  A part of at most
+SCALAR_CELLS cells goes radius by radius on Python floats and never imports
+numpy; that covers the CLI default (50 radii x 4 models) and
+`evaluate_radius`.  A larger part works on columns: its radii become one
+numpy array, set as the radius of the scenario's particle, and the same
+coefficient laws and closed-form CET that serve a single radius
 (`collapse`, `decoherence`, `expansion`) fill one column per law at once;
-the mass and `Scenario.kinematics` are evaluated once per column and shared
-by every law.  Every value equals the single-radius result bit for bit
-(`numerics` states the rule that makes it so), so both paths give the same
-table, and the CSV texts are built column by column.  A column that raises,
-or on which numpy flags a division by zero or an invalid operation, is
-halved and each half solved again; a part of at most LEAF_RADII radii that
-still raises is solved radius by radius, so each failing cell gets its own
-message and a NaN, and a radius whose mass or kinematics fail fails only its
-row.  A NaN cell that raised nothing gets SILENT_NAN.
+the mass and `Scenario.kinematics` are evaluated once per column.  The laws
+whose column raises, or on which numpy flags a division by zero or an
+invalid operation, go down together into the two halves of the part, so
+each failing cell gets its own message and a NaN, and a radius whose mass
+or kinematics fail fails only its row.  Every value equals the single-radius
+result bit for bit (`numerics` states the rule that makes it so), so every
+split gives the same table.  A NaN cell that raised nothing gets SILENT_NAN.
 """
 
 import math
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, lt
 
 from .collapse import (CSL_ADLER, CSL_DEFAULT, CslParams, ModelId, csl_lambda,
                        dp_lambda, k_coherence_cell, k_lambda, qg_lambda)
 from .config import csv_text, factory, record
 from .decoherence import qm_channel_rates
 from .expansion import DecoherenceSpec, ced_or_inf
+from .numerics import is_column
 from .scenario import (PRESET_FILES, load_preset, particle_mass,  # noqa: F401
                        scenario_presets)
 
@@ -189,20 +189,14 @@ def _model_ced(model_spec, scenario):
 # the message of a NaN cell whose solve raised nothing
 SILENT_NAN = "CED is NaN: a non-finite intermediate value, nothing raised"
 
-# A sweep of at most this many cells, radii x (1 + models), is solved radius
-# by radius and never imports numpy; a larger one is solved by columns.  On
-# a 2-vCPU x86-64 VM a cell takes about 20 us by radius and 2-5 us in a
-# column, and importing numpy takes 170-210 ms.  So a fresh process gains
-# below several thousand cells, while a caller that already has numpy loses
-# 15-18 us per cell: about 6 ms at 400 cells, a few per cent of the import.
+# A part of a sweep of at most this many cells, radii x the errors keys of
+# its laws (1 + models for a whole sweep), is solved radius by radius, a
+# larger one by columns.  On a 2-vCPU x86-64 VM a cell takes about 20 us by
+# radius and 2-5 us in a column, and importing numpy takes 170-210 ms.  So a
+# fresh process gains below several thousand cells, while a caller that
+# already has numpy loses 15-18 us per cell: about 6 ms at 400 cells, a few
+# per cent of the import.
 SCALAR_CELLS = 400
-# A column that raises is halved down to parts of this many radii, which are
-# solved radius by radius.  A raising column attempt costs about as much as
-# 6-8 cells by radius, so the attempts add about a fifth to the cost of a
-# long failing stretch, and an isolated failure costs about 2 ms.  Halving
-# down to single radii takes 5 times as long on a long stretch, and more than
-# solving the whole column radius by radius.
-LEAF_RADII = 64
 
 
 def _laws(models):
@@ -212,99 +206,83 @@ def _laws(models):
             *((spec.name, partial(_model_ced, spec)) for spec in models)]
 
 
-def _cells(cell, key, rows, errors, start=0):
-    """cell(row) for each single-radius scenario of `rows`, as a list.  A
-    NaN cell records its first message under `key` in `errors`, at its row
-    index counted from `start`: the text of what it raised, else
-    SILENT_NAN."""
-    values = []
-    for i, row in enumerate(rows, start):
+def _cells(cell, rows):
+    """cell(row) of each single-radius scenario of `rows`, and the message
+    that a NaN there carries: the text of what it raised, else SILENT_NAN."""
+    values, messages = [], []
+    for row in rows:
         try:
             value, message = cell(row), SILENT_NAN
         except Exception as exc:  # recorded per cell, never aborts the sweep
             value, message = math.nan, str(exc)
-        if value != value:
-            errors.setdefault(i, {}).setdefault(key, message)
         values.append(value)
-    return values
+        messages.append(message)
+    return values, messages
 
 
-def _column(cell, key, column, errors, start=0):
-    """cell(column) as one numpy array.  A column that raises is halved and
-    each half solved again, so that only the parts of at most LEAF_RADII
-    radii that still raise go through `_cells` radius by radius."""
+def _part(radii, scenario, laws):
+    """(values, messages) of each of `laws` over `radii`, as `_cells` gives
+    them, the values as numpy columns where the part went by columns.  A part
+    of one radius or of at most SCALAR_CELLS cells goes radius by radius, one
+    single-radius scenario per radius serving all its laws, so no radius is
+    built twice.  A larger part solves each law as one numpy column; the laws
+    whose column raises are solved again, together, on its two halves."""
+    keys = {key for key, _ in laws}
+    if len(radii) == 1 or len(radii) * len(keys) <= SCALAR_CELLS:
+        rows = list(map(scenario.with_radius, radii))
+        return [_cells(cell, rows) for _, cell in laws]
     import numpy as np
 
-    radius = column.particle.radius
-    try:
-        return np.broadcast_to(cell(column), radius.shape)
-    except Exception:  # solved again in parts, each failing cell alone
-        pass
-    if len(radius) <= LEAF_RADII:
-        return np.array(_cells(cell, key, map(column.with_radius,
-                                              radius.tolist()),
-                               errors, start))
-    half = len(radius) // 2
-    return np.concatenate([
-        _column(cell, key, column.with_radius(radius[:half]), errors, start),
-        _column(cell, key, column.with_radius(radius[half:]), errors,
-                start + half)])
-
-
-def _by_radius(radii, scenario, models):
-    """SweepTable solved radius by radius on Python floats; loads no
-    numpy."""
-    rows = [scenario.with_radius(r) for r in radii]
-    errors = {}
-    columns = [_cells(cell, key, rows, errors) for key, cell in _laws(models)]
-    ced_qm = columns[1]
-    flags = [[None if m != m or q != q else m < q
-              for m, q in zip(values, ced_qm)] for values in columns[2:]]
-    return _table(radii, models, columns, flags, errors)
-
-
-def _by_column(radii, scenario, models):
-    """SweepTable with each law solved as one numpy column."""
-    import numpy as np
-
-    column = scenario.with_radius(np.array(radii, dtype=float))
-    errors = {}
-    columns = []
+    column = scenario.with_radius(np.array(radii))
+    solved, failed = {}, []
     with np.errstate(divide="raise", invalid="raise", over="ignore",
                      under="ignore"):
-        for key, cell in _laws(models):
-            values = _column(cell, key, column, errors)
-            for i in np.flatnonzero(np.isnan(values)).tolist():
-                errors.setdefault(i, {}).setdefault(key, SILENT_NAN)
-            columns.append(values)
-    ced_qm = columns[1]
-    flags = [(values < ced_qm).tolist() for values in columns[2:]]
-    for model_flags, values in zip(flags, columns[2:]):
-        for i in np.flatnonzero(np.isnan(values) | np.isnan(ced_qm)).tolist():
-            model_flags[i] = None
-    return _table(radii, models, [values.tolist() for values in columns],
-                  flags, errors)
-
-
-def _table(radii, models, columns, flags, errors):
-    """SweepTable of the mass, QM and model CED columns of `_laws` and each
-    model's flags: None where either CED is NaN, else model CED < QM CED, so
-    an inf model CED never violates and an inf QM CED dominates any finite
-    model."""
-    mass, ced_qm, *ced = columns
-    names = [spec.name for spec in models]
-    return SweepTable(
-        radius=list(radii), mass=mass, ced_qm=ced_qm,
-        ced_model=dict(zip(names, ced)), violated=dict(zip(names, flags)),
-        errors=dict(sorted(errors.items())))
+        for law in laws:
+            try:
+                solved[law] = (np.broadcast_to(law[1](column), len(radii)),
+                               [SILENT_NAN] * len(radii))
+            except Exception:  # solved again on the halves
+                failed.append(law)
+    if failed:
+        half = len(radii) // 2
+        for law, low, high in zip(failed, _part(radii[:half], scenario, failed),
+                                  _part(radii[half:], scenario, failed)):
+            solved[law] = np.concatenate((low[0], high[0])), low[1] + high[1]
+    return [solved[law] for law in laws]
 
 
 def _solve(radii, scenario, models):
-    """SweepTable of the given radii, by radius up to SCALAR_CELLS cells and
-    by column above."""
+    """SweepTable of the given radii.  A NaN cell records its message under
+    its errors key, the first per key and row.  A model's flag is None where
+    either CED is NaN, else model CED < QM CED, so an inf model CED never
+    violates and an inf QM CED dominates any finite model."""
     radii = list(map(float, radii))
-    small = len(radii) * (1 + len(models)) <= SCALAR_CELLS
-    return (_by_radius if small else _by_column)(radii, scenario, models)
+    laws = _laws(models)
+    parts = _part(radii, scenario, laws)
+    columns = [values for values, _ in parts]
+    if is_column(columns[0]):
+        import numpy as np
+
+        nans = [np.flatnonzero(np.isnan(values)).tolist() for values in columns]
+        flags = [(values < columns[1]).tolist() for values in columns[2:]]
+        columns = [values.tolist() for values in columns]
+    else:
+        nans = [[i for i, value in enumerate(values) if value != value]
+                for values in columns]
+        flags = [list(map(lt, values, columns[1])) for values in columns[2:]]
+    errors = {}
+    for (key, _), (_, messages), rows in zip(laws, parts, nans):
+        for i in rows:
+            errors.setdefault(i, {}).setdefault(key, messages[i])
+    for model_flags, rows in zip(flags, nans[2:]):
+        for i in nans[1] + rows:
+            model_flags[i] = None
+    mass, ced_qm, *ced = columns
+    names = [spec.name for spec in models]
+    return SweepTable(
+        radius=radii, mass=mass, ced_qm=ced_qm,
+        ced_model=dict(zip(names, ced)), violated=dict(zip(names, flags)),
+        errors=dict(sorted(errors.items())))
 
 
 def sweep(config):

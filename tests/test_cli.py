@@ -333,6 +333,24 @@ def test_testability_non_finite_radius_bound_exit_2(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag, extra", [
+    ("testability", "--highlight-radius", []),
+    ("vacuum-report", "--sphere-radius", []),
+    ("vacuum-report", "--time", []),
+    ("vacuum-report", "--patch-diameter", ["--distance", "0.1"]),
+    ("vacuum-report", "--distance", ["--patch-diameter", "1e-3"]),
+    ("vacuum-report", "--cold-temperature", []),
+])
+def test_non_finite_float_flag_exit_2(tmp_path, capsys, command, flag, extra,
+                                      value):
+    out = tmp_path / "out.csv"
+    assert main([command, f"{flag}={value}", *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {flag}: must be finite, got {value}\n"
+    assert not out.exists()
+
+
 def test_testability_unknown_model_exit_2(tmp_path, capsys):
     assert main(["testability", "--models", "csl,unknown",
                  "--out", str(tmp_path / "x.csv")]) == 2

@@ -79,7 +79,7 @@ def test_cli_import_loads_no_domain_module(tmp_path):
 def test_reports_load_only_their_domain_module(tmp_path, command, domain):
     own, packages = loaded_after(
         run_command([command, "--out", "report.csv"]), tmp_path)
-    assert own == {"cli", "config", "constants", "numerics", domain}
+    assert own == {"cli", "config", "constants", domain}
     assert "numpy" not in packages and "scipy" not in packages
 
 
@@ -98,7 +98,7 @@ def test_help_loads_no_domain_module(tmp_path):
         "        macrocoh.cli.main(['testability', '--help'])\n"
         "    except SystemExit:\n"
         "        pass\n", tmp_path)
-    assert own == {"cli", "config", "numerics"}
+    assert own == {"cli", "config"}
 
 
 def test_every_former_export_resolves_lazily():

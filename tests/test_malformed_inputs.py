@@ -4,6 +4,7 @@ record's range names the mapping that holds it."""
 
 import contextlib
 import io
+import math
 from importlib import resources
 
 import pytest
@@ -102,6 +103,13 @@ def assert_names_the_field(code, err, dotted):
     ("orbit", ("thrusters", "position_hold_claims"), {"x": 1}),
     ("orbit", ("thrusters", "position_hold_claims", 1, "duration_s"), "10"),
     ("materials", ("summary_table", "kapton"), 3),
+    ("scenario", ("environment", "temperature_K"), math.nan),
+    ("scenario", ("trap", "power_W"), math.inf),
+    ("materials", ("temperature_K",), math.nan),
+    ("materials", ("species_table", "cfrp", "tml_percent"), -math.inf),
+    ("orbit", ("perigee_altitude_km",), math.inf),
+    ("orbit", ("targets", "period_days"), math.nan),
+    ("scenario", ("particle", "density_kg_m3"), 10 ** 400),
 ])
 def test_malformed_field_exit_2(tmp_path, kind, path, value):
     assert_names_the_field(*run_with(kind, path, value, tmp_path))

@@ -17,6 +17,7 @@ from macrocoh import (CONSTANTS, CslParams, Environment,
                       csl_lambda, expansion, k_lambda, numerics,
                       qm_channel_rates, scenario_kinematics, testability)
 from macrocoh.config import ConfigError, replace
+from macrocoh.scenario import Scenario
 from macrocoh.testability import (MODEL_PRESETS, PRESET_FILES, SILENT_NAN,
                                   ModelSpec, SweepConfig, SweepRow, SweepTable,
                                   evaluate_radius, load_preset,
@@ -167,7 +168,7 @@ def test_a_radius_the_particle_formulas_cannot_take_fails_only_its_row():
     (50, "csl,csl_adler,qg,k,dp,k_sat", 43)])
 def test_libm_passes_per_sweep(monkeypatch, points, names, passes):
     # each column evaluates the kinematics once, whatever the model count;
-    # the column path is called directly, as small sweeps go by radius
+    # SCALAR_CELLS = 0 keeps the 350-cell sweep on columns
     calls = []
     libm = numerics._libm
 
@@ -176,11 +177,12 @@ def test_libm_passes_per_sweep(monkeypatch, points, names, passes):
         return libm(*args)
 
     monkeypatch.setattr(numerics, "_libm", counted)
+    monkeypatch.setattr(testability, "SCALAR_CELLS", 0)
     models = tuple(MODEL_PRESETS[name] for name in names.split(","))
     radii = radius_grid(SweepConfig(radius_min=1e-8, radius_max=5e-7,
                                     points=points, scenario=BASELINE,
                                     models=models))
-    testability._by_column(radii, BASELINE, models)
+    testability._solve(radii, BASELINE, models)
     assert len(calls) == passes
 
 
@@ -407,32 +409,65 @@ def _same_tables(one, two):
             and one.violated == two.violated and one.errors == two.errors)
 
 
+def _by_radius_and_by_column(monkeypatch, scenario, lo, hi, points):
+    # SCALAR_CELLS = inf sends the whole sweep radius by radius
+    models = tuple(MODEL_PRESETS.values())
+    radii = radius_grid(SweepConfig(radius_min=lo, radius_max=hi,
+                                    points=points, scenario=scenario,
+                                    models=models))
+    by_column = testability._solve(radii, scenario, models)
+    monkeypatch.setattr(testability, "SCALAR_CELLS", math.inf)
+    by_radius = testability._solve(radii, scenario, models)
+    monkeypatch.undo()
+    return by_radius, by_column
+
+
 @pytest.mark.parametrize("lo, hi", [(1e-8, 5e-7), (1e-110, 1e110),
                                     (1e-7, 1e104)])
 @pytest.mark.parametrize("preset", sorted(PRESET_FILES))
-def test_scalar_and_column_paths_give_equal_tables(preset, lo, hi):
+def test_scalar_and_column_paths_give_equal_tables(monkeypatch, preset, lo,
+                                                   hi):
     # the ranges beyond physical radii fail whole stretches of a column, so
     # the column path halves them down to radius-by-radius parts
-    scenario = load_preset(preset)
-    models = tuple(MODEL_PRESETS.values())
-    radii = radius_grid(SweepConfig(radius_min=lo, radius_max=hi, points=301,
-                                    scenario=scenario, models=models))
-    by_radius = testability._by_radius(radii, scenario, models)
-    by_column = testability._by_column(radii, scenario, models)
+    by_radius, by_column = _by_radius_and_by_column(
+        monkeypatch, load_preset(preset), lo, hi, 301)
     assert _same_tables(by_radius, by_column)
     if lo < 1e-100:
         assert by_column.errors  # the halving is exercised
 
 
+@pytest.mark.parametrize("lo, hi", [(1e-110, 1e110), (1e-7, 1e104)])
+def test_scalar_and_column_paths_give_equal_tables_halved_deep(monkeypatch,
+                                                               lo, hi):
+    # 2000 radii x 7 keys: leaves of at most 57 radii, 6 halvings down
+    sizes = []
+    part = testability._part
+
+    def traced(radii, scenario, laws):
+        sizes.append(len(radii))
+        return part(radii, scenario, laws)
+
+    monkeypatch.setattr(testability, "_part", traced)
+    by_radius, by_column = _by_radius_and_by_column(monkeypatch, BASELINE,
+                                                    lo, hi, 2000)
+    assert _same_tables(by_radius, by_column)
+    assert min(sizes) < 2000 // 4  # more than two levels of halving
+
+
 def test_sweeps_choose_their_path_by_cell_count(monkeypatch):
     calls = []
-    for name in ("_by_radius", "_by_column"):
-        def traced(radii, scenario, models, name=name,
-                   solve=getattr(testability, name)):
-            calls.append((name, len(radii), len(models)))
-            return solve(radii, scenario, models)
+    part, cells = testability._part, testability._cells
 
-        monkeypatch.setattr(testability, name, traced)
+    def traced_part(radii, scenario, laws):
+        calls.append(["by column", len(radii), len(laws) - 2])
+        return part(radii, scenario, laws)
+
+    def traced_cells(cell, rows):
+        calls[-1][0] = "by radius"
+        return cells(cell, rows)
+
+    monkeypatch.setattr(testability, "_part", traced_part)
+    monkeypatch.setattr(testability, "_cells", traced_cells)
     for points, names in ((50, "csl,qg,k,dp"), (200, "dp,k_sat"),
                           (200, "csl"), (201, "k")):
         models = tuple(MODEL_PRESETS[n] for n in names.split(","))
@@ -440,9 +475,46 @@ def test_sweeps_choose_their_path_by_cell_count(monkeypatch):
                           scenario=BASELINE, models=models))
     evaluate_radius(1e-7, BASELINE, tuple(MODEL_PRESETS.values()))
     assert testability.SCALAR_CELLS == 400
-    assert calls == [("_by_radius", 50, 4), ("_by_column", 200, 2),
-                     ("_by_radius", 200, 1), ("_by_column", 201, 1),
-                     ("_by_radius", 1, 6)]
+    assert calls == [["by radius", 50, 4], ["by column", 200, 2],
+                     ["by radius", 200, 1], ["by column", 201, 1],
+                     ["by radius", 1, 6]]
+
+
+def test_a_failing_stretch_builds_each_radius_once(monkeypatch):
+    # the laws that fail on a part go down its halves together, so the
+    # single-radius scenarios of a leaf serve every law in it
+    built = []
+    with_radius = Scenario.with_radius
+
+    def traced(self, radius):
+        if not numerics.is_column(radius):
+            built.append(radius)
+        return with_radius(self, radius)
+
+    monkeypatch.setattr(Scenario, "with_radius", traced)
+    table = sweep(SweepConfig(radius_min=1e-7, radius_max=1e104, points=2000,
+                              scenario=BASELINE,
+                              models=tuple(MODEL_PRESETS.values())))
+    assert len(table.errors) > 1000
+    assert len(built) >= len(table.errors)
+    assert len(set(built)) == len(built)
+
+
+def test_a_law_whose_column_solves_never_goes_by_radius(monkeypatch):
+    # on 1e-8 to 1e26 m only K's coefficient underflows, at the large radii
+    by_radius = set()
+    cells = testability._cells
+
+    def traced(cell, rows):
+        by_radius.add(cell.args[0].name if hasattr(cell, "args") else "qm")
+        return cells(cell, rows)
+
+    monkeypatch.setattr(testability, "_cells", traced)
+    table = sweep(SweepConfig(radius_min=1e-8, radius_max=1e26, points=2000,
+                              scenario=BASELINE,
+                              models=tuple(MODEL_PRESETS.values())))
+    assert by_radius == {"k", "k_sat"}
+    assert {key for row in table.errors.values() for key in row} == by_radius
 
 
 @pytest.mark.parametrize("lo, hi, row, shown", [

@@ -11,7 +11,9 @@ the text of every file it wrote (CSVs and manifests), with each manifest's
 `created_utc` and the run folder blanked.
 
 The matrix is 3 presets x 8 radius ranges x log/linear grids x 2/7/301
-points x 3 model sets of `testability`, plus the report variants in REPORTS.
+points x 3 model sets of `testability`, then 3 presets x 8 radius ranges of
+2000 log points x all six models, whose failing stretches are halved more
+than twice, plus the report variants in REPORTS.
 Runs whose records differ are printed grouped by the parent's exit code and
 last stderr line; the exit code is 0 when every run matches and 1 otherwise.
 """
@@ -61,7 +63,11 @@ def matrix():
                "--models", models, "--out", "sweep.csv")
               for preset in PRESETS for lo, hi in RANGES for grid in GRIDS
               for points in POINTS for models in MODEL_SETS]
-    return sweeps + list(REPORTS)
+    deep = [("testability", "--preset", preset, "--radius-min", lo,
+             "--radius-max", hi, "--grid", "log", "--points", "2000",
+             "--models", MODEL_SETS[-1], "--out", "sweep.csv")
+            for preset in PRESETS for lo, hi in RANGES]
+    return sweeps + deep + list(REPORTS)
 
 
 def normalize(record, folder):
