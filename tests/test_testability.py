@@ -416,9 +416,9 @@ def _by_radius_and_by_column(monkeypatch, scenario, lo, hi, points):
                                     points=points, scenario=scenario,
                                     models=models))
     by_column = testability._solve(radii, scenario, models)
-    monkeypatch.setattr(testability, "SCALAR_CELLS", math.inf)
-    by_radius = testability._solve(radii, scenario, models)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(testability, "SCALAR_CELLS", math.inf)
+        by_radius = testability._solve(radii, scenario, models)
     return by_radius, by_column
 
 
