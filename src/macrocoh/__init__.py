@@ -16,9 +16,8 @@ _EXPORTS = {
     "collapse": "CSL_ADLER CSL_DEFAULT CslParams ModelId csl_lambda csl_shape "
                 "dp_lambda dp_rate k_coherence_cell k_lambda qg_lambda",
     "constants": "CONSTANTS PhysicalConstants",
-    "decoherence": "ChannelRates EmissionSpectrum bb_absorb_lambda "
-                   "bb_emit_lambda bb_scatter_lambda emission_spectrum "
-                   "gas_collision_rate qm_channel_rates",
+    "decoherence": "ChannelRates bb_absorb_lambda bb_emit_lambda "
+                   "bb_scatter_lambda gas_collision_rate qm_channel_rates",
     "expansion": "DecoherenceSpec ExpansionKinematics InfiniteCoherenceError "
                  "VisibilityFactors ced cet_closed_form gamma sigma solve_cet "
                  "visibility_factor",

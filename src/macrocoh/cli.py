@@ -81,6 +81,15 @@ def _require_finite(args, *names):
             raise ConfigError(f"--{flag}: must be finite, got {value}")
 
 
+def _blame(flags, fn, *args):
+    """fn(*args), with a ValueError of the domain check re-raised as a
+    ConfigError naming the flags whose values it rejected."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{flags}: {exc}") from None
+
+
 def _resolve_scenario(args):
     from . import scenario
 
@@ -210,6 +219,9 @@ def cmd_vacuum_report(args):
     if with_dilution != (args.distance is not None):
         raise ConfigError("--patch-diameter and --distance: give both or neither")
     if with_dilution:
+        if not args.patch_diameter > 0.0:
+            raise ConfigError(
+                f"--patch-diameter: must be positive, got {args.patch_diameter}")
         header += ["diluted_density_per_m3", "dilution_factor"]
     if args.cold_temperature is not None:
         header += ["attenuation_at_10_Eroom", "attenuation_at_30_Eroom"]
@@ -222,17 +234,19 @@ def cmd_vacuum_report(args):
         state = vacuum.steady_state(gamma0, temperature, row.species_mass)
         cells = [name, row.mass_loss_rate * decay, gamma0,
                  state.pressure / vacuum.MBAR, state.number_density,
-                 vacuum.collision_rate(gamma0, args.sphere_radius),
+                 _blame("--sphere-radius", vacuum.collision_rate, gamma0,
+                        args.sphere_radius),
                  vacuum.implied_emitting_area(row.mass_loss_rate,
                                               row.species_mass, row.gamma0)]
         if with_dilution:
             patch_area = math.pi * (0.5 * args.patch_diameter) ** 2
-            diluted = vacuum.dilution_from_patch(state.number_density,
-                                                 patch_area, args.distance)
+            diluted = _blame("--patch-diameter and --distance",
+                             vacuum.dilution_from_patch, state.number_density,
+                             patch_area, args.distance)
             cells += [diluted, diluted / state.number_density]
         if args.cold_temperature is not None:
-            cells += [vacuum.pressure_attenuation(energy, temperature,
-                                                  args.cold_temperature)
+            cells += [_blame("--cold-temperature", vacuum.pressure_attenuation,
+                             energy, temperature, args.cold_temperature)
                       for energy in (10.0, 30.0)]
         rows.append(cells)
 

@@ -1,9 +1,9 @@
 """Checked adaptive quadrature, and elementwise maths over scalars or columns.
 
 `quad_checked` wraps scipy's QUADPACK routines and turns silent convergence
-warnings into exceptions carrying the achieved error estimate.  scipy is
-imported on the first call, so that code paths without quadrature (every
-closed-form solve) never pay for loading it.
+warnings into exceptions carrying the achieved error estimate.  Only the
+quadrature oracle `expansion.gamma_quadrature` calls it, so scipy, a test
+dependency, is imported on the first call and no subcommand loads it.
 
 The helpers below let one formula serve a Python float and a column (a 1-D
 numpy array, e.g. one value per sweep radius) alike.  Their column results
@@ -30,22 +30,17 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def quad_checked(fn, a, b, *, epsrel=1e-9, points=None, weight=None,
-                 wvar=None, limit=200):
+def quad_checked(fn, a, b, *, epsrel=1e-9, points=None, limit=200):
     """Integrate fn over [a, b] to the relative tolerance epsrel alone;
     return (value, abs_error_estimate).
 
-    `points` marks known interior kinks (ignored when a weight is used, as
-    QUADPACK forbids the combination).  Raises QuadratureError instead of
+    `points` marks known interior kinks.  Raises QuadratureError instead of
     emitting the scipy IntegrationWarning.
     """
     from scipy import integrate
 
     kwargs = {"epsabs": 0.0, "epsrel": epsrel, "limit": limit, "full_output": 1}
-    if weight is not None:
-        kwargs["weight"] = weight
-        kwargs["wvar"] = wvar
-    elif points:
+    if points:
         interior = [p for p in points if a < p < b]
         if interior:
             kwargs["points"] = sorted(interior)

@@ -134,22 +134,26 @@ class SweepTable:
 
 
 def radius_grid(config):
-    """The sweep radii as a list of Python floats, ascending.
+    """The sweep radii as a list of Python floats, non-decreasing and inside
+    [radius_min, radius_max].
 
     numpy's `linspace` and `geomspace` in their own operation order, on
     libm, so the grid is the same on every host: y_i = i*step + lo with
     step = (hi - lo)/(n - 1), the first point lo and the last hi.  A log
     grid takes lo and hi as math.log10 of the bounds and maps each inner
-    point to 10.0 ** y_i; its ends are the bounds themselves.
+    point to 10.0 ** y_i; its ends are the bounds themselves.  Each inner
+    point is clamped into the bounds: on a narrow log grid the rounding of
+    the logarithms can put 10.0 ** y_i past a bound, which numpy allows.
     """
-    lo, hi, n = config.radius_min, config.radius_max, config.points
+    r_min, r_max, n = config.radius_min, config.radius_max, config.points
+    lo, hi = r_min, r_max
     if config.grid == "log":
         lo, hi = math.log10(lo), math.log10(hi)
     step = (hi - lo) / (n - 1)
     inner = [i * step + lo for i in range(1, n - 1)]
     if config.grid == "log":
         inner = [10.0 ** y for y in inner]
-    return [config.radius_min, *inner, config.radius_max]
+    return [r_min, *(min(max(r, r_min), r_max) for r in inner), r_max]
 
 
 def model_decoherence_spec(model_spec, particle):

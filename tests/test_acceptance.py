@@ -12,7 +12,7 @@ import numpy as np
 from macrocoh import (DecoherenceSpec, ExpansionKinematics, altitude_window,
                       bake_out_power, budget_check, cet_closed_form,
                       collision_rate, csl_lambda, csl_shape,
-                      dilution_from_patch, dp_rate, emission_spectrum, gamma,
+                      dilution_from_patch, dp_rate, gamma,
                       bb_emit_lambda, load_budgets, load_materials, local_gravity,
                       orbital_period, qm_channel_rates, solve_cet, steady_state)
 from macrocoh.expansion import gamma_quadrature
@@ -21,6 +21,7 @@ from macrocoh.testability import (MODEL_PRESETS, SweepConfig, evaluate_radius,
                                   model_decoherence_spec, scenario_presets,
                                   sweep, write_sweep_csv)
 from macrocoh.vacuum import MBAR
+from spectrum_oracle import emission_spectrum
 
 
 def _verdict(name, ok, detail):

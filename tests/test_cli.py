@@ -113,6 +113,19 @@ def test_decoherence_report_unknown_preset_exit_2(tmp_path, capsys):
     assert "'nope'" in err and "available" in err and "fig3_right" in err
 
 
+def test_decoherence_report_overflow_exit_1(tmp_path, capsys):
+    base = (SRC / "macrocoh" / "data" / "scenarios" / "baseline_fig2.yaml")
+    scenario = tmp_path / "huge.yaml"
+    scenario.write_text(base.read_text().replace("radius_nm: 90.0",
+                                                 "radius_m: 1.0e+110"))
+    out = tmp_path / "deco.csv"
+    assert main(["decoherence-report", "--scenario", str(scenario),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: computation failed: 1e+110 ** 3 overflows a float\n"
+    assert not out.exists()
+
+
 def test_decoherence_report_deterministic_bytes(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -211,8 +224,8 @@ def test_testability_zero_temperature_with_gas_exit_2(tmp_path, capsys):
 
 
 def test_testability_and_reports_run_without_scipy(tmp_path):
-    # only the emission-spectrum quadrature needs scipy, and loads it then;
-    # only a testability sweep of more than SCALAR_CELLS cells needs numpy
+    # only the quadrature oracle gamma_quadrature needs scipy, and loads it
+    # then; only a testability sweep of more than SCALAR_CELLS cells needs numpy
     script = f"""
 import sys
 import macrocoh.cli
@@ -231,15 +244,65 @@ assert main(["testability", "--models", "dp,k_sat", "--points", "200",
              "--out", out + "/s.csv"]) == 0
 assert loaded("numpy")
 assert not loaded("scipy"), "scipy loaded"
-from macrocoh import emission_spectrum, scenario_presets
-spectrum = emission_spectrum(scenario_presets()["fig2_baseline"].particle, 98.0)
-assert spectrum.emission_lambda() > 0.0
+from macrocoh import qm_channel_rates, scenario_presets
+from macrocoh.expansion import gamma_quadrature
+scenario = scenario_presets()["fig2_baseline"]
+spec = qm_channel_rates(scenario).as_decoherence_spec()
+assert gamma_quadrature(1.0, spec, scenario.kinematics) > 0.0
 assert "scipy" in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
+
+
+WITHOUT_SCIPY_CALLS = [
+    ["decoherence-report", "--out", "deco.csv"],
+    ["testability", "--out", "sweep.csv"],
+    ["vacuum-report", "--out", "vacuum.csv"],
+    ["mission-report", "--out", "mission.csv"],
+    ["testability", "--points", "2000", "--models", "csl,csl_adler,qg,k",
+     "--out", "dense.csv"],
+]
+
+
+def test_every_subcommand_runs_with_scipy_unimportable(tmp_path, capsys,
+                                                       monkeypatch):
+    # sys.modules["scipy"] = None makes every import of scipy raise, as on an
+    # install without the test extra; the outputs equal those of a normal run
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from macrocoh.cli import main
+for argv in {WITHOUT_SCIPY_CALLS!r}:
+    assert main(argv) == 0, argv
+from macrocoh import qm_channel_rates, scenario_presets
+from macrocoh.expansion import gamma_quadrature
+scenario = scenario_presets()["fig2_baseline"]
+spec = qm_channel_rates(scenario).as_decoherence_spec()
+try:
+    gamma_quadrature(1.0, spec, scenario.kinematics)
+except ModuleNotFoundError:
+    pass
+else:
+    raise AssertionError("gamma_quadrature ran without scipy")
+"""
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    proc = subprocess.run([sys.executable, "-c", script], cwd=blocked,
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+
+    normal = tmp_path / "normal"
+    normal.mkdir()
+    monkeypatch.chdir(normal)
+    for argv in WITHOUT_SCIPY_CALLS:
+        assert main(argv) == 0, argv
+    assert proc.stdout == capsys.readouterr().out
+    assert _outputs(blocked) == _outputs(normal)
+    assert len(_outputs(normal)) == 12
 
 
 def test_testability_failed_qm_cells_are_undecided(tmp_path, capsys, monkeypatch):
@@ -357,6 +420,13 @@ def test_testability_unknown_model_exit_2(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_testability_empty_model_list_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["testability", "--models", ",", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --models: empty model list\n"
+    assert not out.exists()
+
+
 # ----------------------------------------------------------- vacuum-report
 
 def test_vacuum_report_reproduces_collision_rates(tmp_path):
@@ -408,6 +478,38 @@ def test_vacuum_report_dilution_needs_both_flags_exit_2(tmp_path, capsys,
 def test_vacuum_report_unknown_material_exit_2(tmp_path, capsys):
     assert main(["vacuum-report", "--material", "wood",
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_vacuum_report_selected_materials_in_the_given_order(tmp_path):
+    out = tmp_path / "vac.csv"
+    assert main(["vacuum-report", "--material", "kapton", "--material", "cfrp",
+                 "--out", str(out)]) == 0
+    assert [row["material"] for row in read_rows(out)] == ["kapton", "cfrp"]
+
+
+@pytest.mark.parametrize("given, message", [
+    (["--patch-diameter=-1e-3", "--distance", "0.1"],
+     "--patch-diameter: must be positive, got -0.001"),
+    (["--patch-diameter", "0", "--distance", "0.1"],
+     "--patch-diameter: must be positive, got 0.0"),
+    (["--patch-diameter", "1e-3", "--distance", "0"],
+     "--patch-diameter and --distance: distance must exceed the patch extent"),
+    (["--cold-temperature", "0"],
+     "--cold-temperature: need t_hot > t_cold > 0"),
+    (["--cold-temperature", "400"],
+     "--cold-temperature: need t_hot > t_cold > 0"),
+    (["--sphere-radius", "-1"],
+     "--sphere-radius: sphere radius must be non-negative"),
+    (["--time", "-1"], "--time: must be non-negative"),
+], ids=["negative-diameter", "zero-diameter", "distance-in-patch",
+        "zero-cold", "cold-above-hot", "negative-sphere", "negative-time"])
+def test_vacuum_report_out_of_range_flag_exit_2_names_it(tmp_path, capsys,
+                                                         given, message):
+    # the domain check stays in vacuum; the command names the flags it blames
+    out = tmp_path / "vac.csv"
+    assert main(["vacuum-report", *given, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------- mission-report

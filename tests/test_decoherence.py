@@ -4,10 +4,11 @@ import pytest
 
 from macrocoh import (CONSTANTS, ComplexPermittivity, Environment, Particle,
                       bb_absorb_lambda, bb_emit_lambda, bb_scatter_lambda,
-                      emission_spectrum, gas_collision_rate, qm_channel_rates)
+                      gas_collision_rate, qm_channel_rates)
 from macrocoh.config import replace
 from macrocoh.decoherence import ChannelRates
 from macrocoh.testability import scenario_presets
+from spectrum_oracle import emission_spectrum
 
 
 def make_particle(radius=90e-9, density=2201.0, eps_bb=(2.1, 0.57)):

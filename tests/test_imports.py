@@ -18,10 +18,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = SRC / "macrocoh" / "data"
 SHIPPED_YAML = sorted(DATA.glob("*.yaml")) + sorted(DATA.glob("scenarios/*.yaml"))
 
-# every name the package exported eagerly before it resolved them on use
+# every name the package exported eagerly before it resolved them on use,
+# less the emission-spectrum oracle, which moved to tests/spectrum_oracle.py
 FORMER_EXPORTS = """
 BudgetCheck BudgetLedger CONSTANTS CSL_ADLER CSL_DEFAULT ChannelRates
-ComplexPermittivity CslParams DecoherenceSpec EmissionSpectrum EmissionSummary
+ComplexPermittivity CslParams DecoherenceSpec EmissionSummary
 Environment ExpansionKinematics GasState GravitySample InfiniteCoherenceError
 MODEL_PRESETS MaterialOutgassing ModelId ModelSpec OrbitElements
 OutgassingSpecies Particle PhysicalConstants QuadratureError Scenario
@@ -29,7 +30,7 @@ SweepConfig SweepRow SweepTable Trap VisibilityFactors altitude_window
 arrhenius_residence bake_out_power bb_absorb_lambda bb_emit_lambda
 bb_scatter_lambda budget_check ced cet_closed_form clausius_mossotti
 collision_rate cooling_noise_threshold csl_lambda csl_shape dilution_from_patch
-dilution_from_sphere dp_lambda dp_rate emission_rate emission_spectrum
+dilution_from_sphere dp_lambda dp_rate emission_rate
 expansion_velocity gamma gas_collision_rate ground_state_width
 integrated_accuracy k_coherence_cell k_lambda load_budgets load_materials
 load_orbit load_preset load_scenario local_gravity orbital_period

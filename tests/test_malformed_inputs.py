@@ -129,6 +129,19 @@ def test_out_of_range_value_names_its_section(tmp_path, kind, path, value,
     assert err == f"error: {dotted.rsplit('.', 1)[0]}: {message}\n"
 
 
+def test_scenario_without_a_radius_exit_2(tmp_path, capsys):
+    doc = packaged("scenario")
+    del doc["particle"]["radius_nm"]
+    source = tmp_path / "scenario.yaml"
+    source.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["decoherence-report", "--scenario", str(source),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {source}.particle: missing one of ['radius_m', 'radius_nm']\n")
+    assert not out.exists()
+
+
 def test_orbit_without_its_optional_sections(tmp_path):
     doc = packaged("orbit")
     del doc["targets"], doc["thrusters"]

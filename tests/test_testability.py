@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from macrocoh import (CONSTANTS, CslParams, Environment,
@@ -342,18 +342,25 @@ def test_sweep_tables_built_without_errors_get_their_own_dict():
 
 
 def _libm_grid(lo, hi, points, grid):
-    # numpy's linspace/geomspace operation order, written out on libm
+    # numpy's linspace/geomspace operation order, written out on libm, with
+    # each inner point clamped into [lo, hi]
     if grid == "linear":
         step = (hi - lo) / (points - 1)
-        return [i * step + lo for i in range(points - 1)] + [hi]
-    log_lo, log_hi = math.log10(lo), math.log10(hi)
-    step = (log_hi - log_lo) / (points - 1)
-    return ([lo] + [math.pow(10.0, i * step + log_lo)
-                    for i in range(1, points - 1)] + [hi])
+        inner = [i * step + lo for i in range(1, points - 1)]
+    else:
+        log_lo, log_hi = math.log10(lo), math.log10(hi)
+        step = (log_hi - log_lo) / (points - 1)
+        inner = [math.pow(10.0, i * step + log_lo)
+                 for i in range(1, points - 1)]
+    return [lo] + [min(max(r, lo), hi) for r in inner] + [hi]
 
 
 @given(st.floats(-120.0, 120.0), st.floats(1e-12, 180.0),
        st.integers(2, 3000), st.sampled_from(["log", "linear"]))
+@example(32.0, 1e-12, 284, "log")
+@example(math.log10(1.0554981866069301e-07),
+         math.log10(1.0554981866071171e-07 / 1.0554981866069301e-07),
+         227, "log")
 def test_radius_grid_is_the_libm_formula(log_lo, decades, points, grid):
     lo = 10.0 ** log_lo
     hi = lo * 10.0 ** decades

@@ -52,6 +52,19 @@ REPORTS = (
     ("decoherence-report", "--preset", "nope", "--out", "deco.csv"),
     ("testability", "--models", "csl,nope", "--out", "sweep.csv"),
     ("vacuum-report", "--material", "wood", "--out", "vacuum.csv"),
+    ("vacuum-report", "--material", "kapton", "--material", "cfrp",
+     "--out", "vacuum.csv"),
+    *(("vacuum-report", *flags, "--out", "vacuum.csv") for flags in (
+        ("--patch-diameter=-1e-3", "--distance", "0.1"),
+        ("--patch-diameter", "0", "--distance", "0.1"),
+        ("--patch-diameter", "1e-3", "--distance", "0"),
+        ("--cold-temperature", "0"), ("--cold-temperature", "400"),
+        ("--sphere-radius", "-1"), ("--time", "-1"))),
+    ("testability", "--models", ",", "--out", "sweep.csv"),
+    # a log grid so narrow that 10 ** y of an inner point passes radius_max
+    ("testability", "--radius-min", "1.0554981866069301e-07",
+     "--radius-max", "1.0554981866071171e-07", "--points", "227",
+     "--out", "sweep.csv"),
 )
 CREATED = re.compile(r'("created_utc": )"[^"]*"')
 
