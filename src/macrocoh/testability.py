@@ -153,7 +153,8 @@ def radius_grid(config):
     inner = [i * step + lo for i in range(1, n - 1)]
     if config.grid == "log":
         inner = [10.0 ** y for y in inner]
-    return [r_min, *(min(max(r, r_min), r_max) for r in inner), r_max]
+    inner = [r_min if r < r_min else r_max if r > r_max else r for r in inner]
+    return [r_min, *inner, r_max]
 
 
 def model_decoherence_spec(model_spec, particle):
