@@ -204,6 +204,7 @@ def cmd_vacuum_report(args):
     if args.time < 0.0:
         raise ConfigError("--time: must be non-negative")
     temperature, _, summaries = vacuum.load_materials(args.materials)
+    source = str(args.materials or "<packaged materials.yaml>")
     selected = list(summaries)
     if args.material:
         unknown = [n for n in args.material if n not in summaries]
@@ -245,14 +246,15 @@ def cmd_vacuum_report(args):
                              patch_area, args.distance)
             cells += [diluted, diluted / state.number_density]
         if args.cold_temperature is not None:
-            cells += [_blame("--cold-temperature", vacuum.pressure_attenuation,
+            hot = f"t_hot is {source}.temperature_K, {temperature} K"
+            cells += [_blame(f"--cold-temperature ({hot})",
+                             vacuum.pressure_attenuation,
                              energy, temperature, args.cold_temperature)
                       for energy in (10.0, 30.0)]
         rows.append(cells)
 
     atomic_write_text(args.out, csv_text(header, rows))
-    write_manifest("vacuum-report",
-                   [args.materials or "<packaged materials.yaml>"], [args.out],
+    write_manifest("vacuum-report", [source], [args.out],
                    {"sphere_radius": args.sphere_radius, "time": args.time,
                     "materials": selected,
                     "patch_diameter": args.patch_diameter,

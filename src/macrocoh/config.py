@@ -2,17 +2,19 @@
 
 All quantities live in SI units internally; conversions happen here, at the
 I/O boundary, driven by unit-suffixed key names (pressure_mbar, radius_nm,
-apogee_altitude_km, residence_time_h, ...).  libyaml parses YAML when PyYAML
+apogee_altitude_km, residence_time_h, ...).  The files shipped under
+macrocoh/data/ are written in the JSON subset of YAML and parsed by `json`,
+so a run on packaged data never imports PyYAML.  A user's file may be any
+YAML: PyYAML is imported on the first one, and libyaml parses it when PyYAML
 has it; both parsers feed the same safe constructors and give equal mappings.
 """
 
+import json
 import sys
 from importlib import resources
 from operator import attrgetter
 
-import yaml
-
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_LOADER = None  # PyYAML's safe loader class, chosen on the first user file
 
 
 class ConfigError(ValueError):
@@ -32,21 +34,36 @@ def load_yaml(path):
 
 def load_document(path, *packaged):
     """(mapping, source name) of the YAML file at `path`, or, when path is
-    None, of the file shipped under macrocoh/data/ at `packaged`."""
+    None, of the file shipped under macrocoh/data/ at `packaged`, which is
+    JSON text and parsed by `json`."""
     if path is not None:
         return load_yaml(path), str(path)
     source = f"<packaged {'/'.join(packaged)}>"
     data = resources.files(__package__).joinpath("data", *packaged)
-    return _mapping(data.read_text(encoding="utf-8"), source), source
+    try:
+        doc = json.loads(data.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{source}: malformed JSON at line {exc.lineno}: "
+                          f"{exc.msg}") from None
+    return _top_mapping(doc, source), source
 
 
 def _mapping(stream, source):
+    global _LOADER
+    import yaml
+
+    if _LOADER is None:
+        _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
         doc = yaml.load(stream, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError(f"{source}: malformed YAML{where}: {exc}") from None
+    return _top_mapping(doc, source)
+
+
+def _top_mapping(doc, source):
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be a mapping")
     return doc

@@ -70,6 +70,19 @@ class EmissionSummary:
     number_density: float   # 1/m^3
     collision_rate: float   # 1/s, for the reference sphere radius
 
+    def __post_init__(self):
+        for label, value in (("species mass", self.species_mass),
+                             ("residence time", self.residence_time),
+                             ("emission rate", self.gamma0)):
+            if not value > 0.0:
+                raise ValueError(f"{label} must be positive")
+        for label, value in (("mass-loss rate", self.mass_loss_rate),
+                             ("pressure", self.pressure),
+                             ("number density", self.number_density),
+                             ("collision rate", self.collision_rate)):
+            if not value >= 0.0:
+                raise ValueError(f"{label} must be non-negative")
+
 
 def outgassing_rate(material, t):
     """Mass-loss rate D_out(t) in kg/s, summed over species.
@@ -202,7 +215,8 @@ def _material_from_mapping(name, doc, path):
 
 
 def _summary_from_mapping(name, doc, path):
-    return EmissionSummary(
+    return config.build(
+        EmissionSummary, path,
         name=name,
         mass_loss_rate=config.number(doc, "d_out_kg_s", path),
         species_mass=config.quantity(

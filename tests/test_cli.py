@@ -12,6 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+import yaml
 
 from macrocoh.cli import main
 from macrocoh.config import replace
@@ -58,6 +59,17 @@ trap:
 COLD_GAS_SCENARIO = ZERO_SCENARIO.replace("pressure_Pa: 0.0", "pressure_Pa: 1.0e-12")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = SRC / "macrocoh" / "data"
+
+
+def packaged_copy(tmp_path, name, edit):
+    """A YAML copy of the packaged file `name` with `edit` applied to its
+    mapping."""
+    doc = json.loads((DATA / name).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / Path(name).name
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
 
 
 def read_rows(path):
@@ -114,10 +126,11 @@ def test_decoherence_report_unknown_preset_exit_2(tmp_path, capsys):
 
 
 def test_decoherence_report_overflow_exit_1(tmp_path, capsys):
-    base = (SRC / "macrocoh" / "data" / "scenarios" / "baseline_fig2.yaml")
-    scenario = tmp_path / "huge.yaml"
-    scenario.write_text(base.read_text().replace("radius_nm: 90.0",
-                                                 "radius_m: 1.0e+110"))
+    def huge(doc):
+        del doc["particle"]["radius_nm"]
+        doc["particle"]["radius_m"] = 1e110
+
+    scenario = packaged_copy(tmp_path, "scenarios/baseline_fig2.yaml", huge)
     out = tmp_path / "deco.csv"
     assert main(["decoherence-report", "--scenario", str(scenario),
                  "--out", str(out)]) == 1
@@ -495,20 +508,31 @@ def test_vacuum_report_selected_materials_in_the_given_order(tmp_path):
     (["--patch-diameter", "1e-3", "--distance", "0"],
      "--patch-diameter and --distance: distance must exceed the patch extent"),
     (["--cold-temperature", "0"],
-     "--cold-temperature: need t_hot > t_cold > 0"),
+     "--cold-temperature (t_hot is <packaged materials.yaml>.temperature_K, "
+     "300.0 K): need t_hot > t_cold > 0"),
     (["--cold-temperature", "400"],
-     "--cold-temperature: need t_hot > t_cold > 0"),
+     "--cold-temperature (t_hot is <packaged materials.yaml>.temperature_K, "
+     "300.0 K): need t_hot > t_cold > 0"),
+    (["--materials", "{materials}", "--cold-temperature", "260"],
+     "--cold-temperature (t_hot is {materials}.temperature_K, 250.0 K): "
+     "need t_hot > t_cold > 0"),
     (["--sphere-radius", "-1"],
      "--sphere-radius: sphere radius must be non-negative"),
     (["--time", "-1"], "--time: must be non-negative"),
 ], ids=["negative-diameter", "zero-diameter", "distance-in-patch",
-        "zero-cold", "cold-above-hot", "negative-sphere", "negative-time"])
+        "zero-cold", "cold-above-hot", "cold-above-given-hot",
+        "negative-sphere", "negative-time"])
 def test_vacuum_report_out_of_range_flag_exit_2_names_it(tmp_path, capsys,
                                                          given, message):
-    # the domain check stays in vacuum; the command names the flags it blames
+    # the domain check stays in vacuum; the command names the flags it
+    # blames, and the materials file value a flag was compared with
+    materials = packaged_copy(tmp_path, "materials.yaml",
+                              lambda doc: doc.update(temperature_K=250.0))
+    given = [arg.format(materials=materials) for arg in given]
     out = tmp_path / "vac.csv"
     assert main(["vacuum-report", *given, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert (capsys.readouterr().err
+            == f"error: {message.format(materials=materials)}\n")
     assert not out.exists()
 
 

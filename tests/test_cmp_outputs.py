@@ -21,7 +21,7 @@ def record(exit=0, stdout="wrote sweep.csv\n", stderr="", files=None):
 def test_matrix_covers_every_sweep_and_report_once():
     commands = cmp_outputs.matrix()
     assert len(commands) == (3 * 8 * 2 * 3 * 3 + 3 * 8
-                             + len(cmp_outputs.REPORTS)) == 479
+                             + len(cmp_outputs.REPORTS)) == 487
     assert len(set(commands)) == len(commands)
     assert commands[0] == (
         "testability", "--preset", "fig2_baseline", "--radius-min", "1e-8",
@@ -30,14 +30,18 @@ def test_matrix_covers_every_sweep_and_report_once():
 
 
 def test_normalize_blanks_the_time_and_the_run_folder():
+    # and the tree, which stands in the paths of the packaged files
     one = record(stderr="error: /runs/a/1/x: cannot write\n", files={
-        "sweep.csv.manifest.json": MANIFEST % ("2026-01-01T00:00:00", "/runs/a/1")})
+        "sweep.csv.manifest.json": MANIFEST % ("2026-01-01T00:00:00", "/runs/a/1")},
+        stdout="read /a/tree/src/s.yaml\n")
     two = record(stderr="error: /runs/b/1/x: cannot write\n", files={
-        "sweep.csv.manifest.json": MANIFEST % ("2027-05-05T11:11:11", "/runs/b/1")})
-    one, two = (cmp_outputs.normalize(one, "/runs/a/1"),
-                cmp_outputs.normalize(two, "/runs/b/1"))
+        "sweep.csv.manifest.json": MANIFEST % ("2027-05-05T11:11:11", "/runs/b/1")},
+        stdout="read /b/tree/src/s.yaml\n")
+    one, two = (cmp_outputs.normalize(one, "/runs/a/1", "/a/tree"),
+                cmp_outputs.normalize(two, "/runs/b/1", "/b/tree"))
     assert one == two
     assert one["stderr"] == "error: <out>/x: cannot write\n"
+    assert one["stdout"] == "read <tree>/src/s.yaml\n"
     assert '"created_utc": ""' in one["files"]["sweep.csv.manifest.json"]
 
 

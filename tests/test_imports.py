@@ -1,5 +1,5 @@
-"""What each entry point loads, the lazy package namespace, and YAML parsing
-by either PyYAML loader."""
+"""What each entry point loads, the lazy package namespace, packaged data
+read by `json`, and user YAML parsed by either PyYAML loader."""
 
 import json
 import os
@@ -72,7 +72,7 @@ def test_package_import_loads_no_submodule(tmp_path):
 def test_cli_import_loads_no_domain_module(tmp_path):
     own, packages = loaded_after("import macrocoh.cli", tmp_path)
     assert own.isdisjoint(DOMAIN_MODULES | {"scenario"}), own
-    assert "numpy" not in packages and "scipy" not in packages
+    assert packages.isdisjoint({"numpy", "scipy", "yaml"})
 
 
 @pytest.mark.parametrize("command, domain", [
@@ -81,18 +81,18 @@ def test_reports_load_only_their_domain_module(tmp_path, command, domain):
     own, packages = loaded_after(
         run_command([command, "--out", "report.csv"]), tmp_path)
     assert own == {"cli", "config", "constants", domain}
-    assert "numpy" not in packages and "scipy" not in packages
+    assert packages.isdisjoint({"numpy", "scipy", "yaml"})
 
 
 def test_decoherence_report_loads_no_sweep_module(tmp_path):
     own, packages = loaded_after(
         run_command(["decoherence-report", "--out", "report.csv"]), tmp_path)
     assert own.isdisjoint(SWEEP_MODULES | {"mission", "vacuum"}), own
-    assert "numpy" not in packages and "scipy" not in packages
+    assert packages.isdisjoint({"numpy", "scipy", "yaml"})
 
 
 def test_help_loads_no_domain_module(tmp_path):
-    own, _ = loaded_after(
+    own, packages = loaded_after(
         "import contextlib, io, macrocoh.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    try:\n"
@@ -100,6 +100,7 @@ def test_help_loads_no_domain_module(tmp_path):
         "    except SystemExit:\n"
         "        pass\n", tmp_path)
     assert own == {"cli", "config"}
+    assert "yaml" not in packages
 
 
 def test_every_former_export_resolves_lazily():
@@ -130,31 +131,42 @@ LOADERS = [yaml.SafeLoader, pytest.param(
 
 
 def test_config_parses_every_document_with_the_chosen_loader(monkeypatch):
-    assert config._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__
-                              else yaml.SafeLoader)
-    streams = []
+    # the packaged documents are JSON text and reach no YAML loader; a user's
+    # file goes through the loader that config chooses on its first use
+    loaders = []
+    parse = yaml.load
 
-    class Recording(yaml.SafeLoader):
-        def __init__(self, stream):
-            streams.append(stream)
-            super().__init__(stream)
+    def recording(stream, Loader):
+        loaders.append(Loader)
+        return parse(stream, Loader)
 
-    monkeypatch.setattr(config, "_LOADER", Recording)
-    from macrocoh import load_budgets, load_preset, load_scenario
+    monkeypatch.setattr(yaml, "load", recording)
+    monkeypatch.setattr(config, "_LOADER", None)
+    from macrocoh import (load_budgets, load_materials, load_orbit,
+                          load_scenario, scenario_presets)
 
-    load_preset("fig3_left")
+    scenario_presets()
     load_budgets()
+    load_materials()
+    load_orbit()
+    assert loaders == []
     load_scenario(DATA / "scenarios" / "fig3_right.yaml")
-    assert len(streams) == 3
+    load_budgets(DATA / "budgets.yaml")
+    chosen = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert loaders == [chosen, chosen]
+    assert config._LOADER is chosen
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__,
                     reason="PyYAML built without libyaml")
 @pytest.mark.parametrize("path", SHIPPED_YAML, ids=lambda p: p.name)
 def test_shipped_yaml_equal_under_both_loaders(path):
+    # the package reads these files with json; a user passing one of them
+    # as a file gets the same mapping from PyYAML
     text = path.read_text(encoding="utf-8")
-    assert (yaml.load(text, Loader=yaml.CSafeLoader)
-            == yaml.load(text, Loader=yaml.SafeLoader))
+    doc = json.loads(text)
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == doc
+    assert yaml.load(text, Loader=yaml.SafeLoader) == doc
 
 
 def test_six_yaml_files_shipped():
@@ -172,6 +184,22 @@ def test_malformed_yaml_exit_2_names_the_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert f"{scenario}: malformed YAML at line 3" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{\n  "unit": "kg",\n}\n', "malformed JSON at line 3: Expecting "
+     "property name enclosed in double quotes"),
+    ("unit: kg\n", "malformed JSON at line 1: Expecting value"),
+    ("[1.0]\n", "top level must be a mapping"),
+])
+def test_malformed_packaged_document_names_it(tmp_path, monkeypatch, text,
+                                              message):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "budgets.yaml").write_text(text, encoding="utf-8")
+    monkeypatch.setattr(config.resources, "files", lambda package: tmp_path)
+    with pytest.raises(config.ConfigError) as caught:
+        config.load_document(None, "budgets.yaml")
+    assert str(caught.value) == f"<packaged budgets.yaml>: {message}"
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -201,7 +229,7 @@ def test_default_testability_and_evaluate_radius_load_no_numpy(tmp_path):
     # 50 radii x 4 models and a single radius are solved radius by radius
     _, packages = loaded_after(run_command(["testability", "--out", "s.csv"]),
                                tmp_path)
-    assert "numpy" not in packages and "scipy" not in packages
+    assert packages.isdisjoint({"numpy", "scipy", "yaml"})
     own, packages = loaded_after(
         "from macrocoh.testability import (MODEL_PRESETS, evaluate_radius,\n"
         "                                  scenario_presets)\n"

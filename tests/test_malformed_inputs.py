@@ -120,6 +120,16 @@ def test_malformed_field_exit_2(tmp_path, kind, path, value):
     ("materials", ("species_table", "cfrp", "tml_percent"), -1.0,
      "TML must be between 0 and 100 percent"),
     ("orbit", ("perigee_altitude_km",), 7e5, "need apogee >= perigee >= 0"),
+    ("materials", ("summary_table", "cfrp", "residence_time_h"), 0.0,
+     "residence time must be positive"),
+    ("materials", ("summary_table", "cfrp", "gamma0_per_m2_s"), 0.0,
+     "emission rate must be positive"),
+    ("materials", ("summary_table", "cfrp", "species_mass_amu"), 0.0,
+     "species mass must be positive"),
+    ("materials", ("summary_table", "cfrp", "d_out_kg_s"), -1.0,
+     "mass-loss rate must be non-negative"),
+    ("materials", ("summary_table", "cfrp", "pressure_mbar"), -1.0,
+     "pressure must be non-negative"),
 ])
 def test_out_of_range_value_names_its_section(tmp_path, kind, path, value,
                                               message):

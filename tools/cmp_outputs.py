@@ -8,12 +8,14 @@ temporary directory.  Every invocation of the matrix runs there as a fresh
 `python -m macrocoh.cli` process, with the tree's src/ on PYTHONPATH, in an
 empty folder of its own.  A run's record is its exit code, stdout, stderr and
 the text of every file it wrote (CSVs and manifests), with each manifest's
-`created_utc` and the run folder blanked.
+`created_utc`, the run folder and the tree blanked.
 
 The matrix is 3 presets x 8 radius ranges x log/linear grids x 2/7/301
 points x 3 model sets of `testability`, then 3 presets x 8 radius ranges of
 2000 log points x all six models, whose failing stretches are halved more
-than twice, plus the report variants in REPORTS.
+than twice, plus the report variants in REPORTS.  Some of those pass the
+tree's own data files by path (`<tree>` in an argument stands for the tree),
+so that PyYAML's reading of the packaged files is compared as well.
 Runs whose records differ are printed grouped by the parent's exit code and
 last stderr line; the exit code is 0 when every run matches and 1 otherwise.
 """
@@ -30,6 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import export  # noqa: E402
 
 PRESETS = ("fig2_baseline", "fig3_left", "fig3_right")
+TREE = "<tree>"
+DATA = f"{TREE}/src/macrocoh/data"
 RANGES = (("1e-8", "5e-7"), ("1e-9", "1e-5"), ("1e-7", "1e60"),
           ("1e-110", "1e110"), ("1e-40", "1e-38"), ("1e-20", "1e20"),
           ("1e-120", "1e-7"), ("1e-7", "1e104"))
@@ -61,6 +65,16 @@ REPORTS = (
         ("--cold-temperature", "0"), ("--cold-temperature", "400"),
         ("--sphere-radius", "-1"), ("--time", "-1"))),
     ("testability", "--models", ",", "--out", "sweep.csv"),
+    # each packaged file given as a user file, parsed by PyYAML
+    *((command, "--scenario", f"{DATA}/scenarios/{name}.yaml", "--out", out)
+      for name in ("baseline_fig2", "fig3_left", "fig3_right")
+      for command, out in (("decoherence-report", "deco.csv"),
+                           ("testability", "sweep.csv"))),
+    ("vacuum-report", "--materials", f"{DATA}/materials.yaml",
+     "--patch-diameter", "1e-3", "--distance", "0.1",
+     "--cold-temperature", "30", "--out", "vacuum.csv"),
+    ("mission-report", "--orbit", f"{DATA}/orbit_heo.yaml",
+     "--budgets", f"{DATA}/budgets.yaml", "--out", "mission.csv"),
     # a log grid so narrow that 10 ** y of an inner point passes radius_max
     ("testability", "--radius-min", "1.0554981866069301e-07",
      "--radius-max", "1.0554981866071171e-07", "--points", "227",
@@ -83,10 +97,12 @@ def matrix():
     return sweeps + deep + list(REPORTS)
 
 
-def normalize(record, folder):
-    """`record` with every manifest's created_utc and the run folder blanked."""
+def normalize(record, folder, tree):
+    """`record` with every manifest's created_utc, the run folder and the
+    tree blanked."""
     def blank(text):
-        return CREATED.sub(r'\1""', text.replace(folder, "<out>"))
+        text = text.replace(folder, "<out>").replace(tree, TREE)
+        return CREATED.sub(r'\1""', text)
 
     return {"exit": record["exit"], "stdout": blank(record["stdout"]),
             "stderr": blank(record["stderr"]),
@@ -98,12 +114,14 @@ def run(tree, args, folder):
     """The normalized record of one invocation of the CLI in `tree`."""
     folder.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src")))
+    args = [arg.replace(TREE, str(tree)) for arg in args]
     proc = subprocess.run([sys.executable, "-m", "macrocoh.cli", *args],
                           cwd=folder, env=env, capture_output=True, text=True)
     files = {str(path.relative_to(folder)): path.read_text(encoding="utf-8")
              for path in sorted(folder.rglob("*")) if path.is_file()}
     return normalize({"exit": proc.returncode, "stdout": proc.stdout,
-                      "stderr": proc.stderr, "files": files}, str(folder))
+                      "stderr": proc.stderr, "files": files}, str(folder),
+                     str(tree))
 
 
 def last_line(text):
