@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, csv_text, number, pair, section
+from .config import ConfigError, build, csv_text, number, pair, section
 
 
 def prepare_output(path):
@@ -79,15 +79,6 @@ def _require_finite(args, *names):
         if value is not None and not math.isfinite(value):
             flag = name.replace("_", "-")
             raise ConfigError(f"--{flag}: must be finite, got {value}")
-
-
-def _blame(flags, fn, *args):
-    """fn(*args), with a ValueError of the domain check re-raised as a
-    ConfigError naming the flags whose values it rejected."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise ConfigError(f"{flags}: {exc}") from None
 
 
 def _resolve_scenario(args):
@@ -158,13 +149,14 @@ def _parse_models(spec_text, presets):
 def cmd_testability(args):
     from . import testability
 
+    _require_finite(args, "radius_min", "radius_max", "highlight_radius")
     scenario, source = _resolve_scenario(args)
     models = _parse_models(args.models, testability.MODEL_PRESETS)
-    config = testability.SweepConfig(
-        radius_min=args.radius_min, radius_max=args.radius_max,
-        points=args.points, grid=args.grid, scenario=scenario,
-        models=tuple(models))
-    _require_finite(args, "highlight_radius")
+    config = build(testability.SweepConfig,
+                   "--radius-min, --radius-max, --points and --models",
+                   radius_min=args.radius_min, radius_max=args.radius_max,
+                   points=args.points, grid=args.grid, scenario=scenario,
+                   models=tuple(models))
     table = testability.sweep(config)
     names = [m.name for m in models]
     intervals = {name: testability.violation_intervals(table, name)
@@ -223,8 +215,18 @@ def cmd_vacuum_report(args):
         if not args.patch_diameter > 0.0:
             raise ConfigError(
                 f"--patch-diameter: must be positive, got {args.patch_diameter}")
+        patch_area = math.pi * (0.5 * args.patch_diameter) ** 2
+        # the density ratio of the geometry alone, the same for every row
+        dilution = build(vacuum.dilution_from_patch,
+                         "--patch-diameter and --distance",
+                         1.0, patch_area, args.distance)
         header += ["diluted_density_per_m3", "dilution_factor"]
     if args.cold_temperature is not None:
+        hot = f"t_hot is {source}.temperature_K, {temperature} K"
+        attenuation = [build(vacuum.pressure_attenuation,
+                             f"--cold-temperature ({hot})",
+                             energy, temperature, args.cold_temperature)
+                       for energy in (10.0, 30.0)]
         header += ["attenuation_at_10_Eroom", "attenuation_at_30_Eroom"]
 
     rows = []
@@ -235,22 +237,16 @@ def cmd_vacuum_report(args):
         state = vacuum.steady_state(gamma0, temperature, row.species_mass)
         cells = [name, row.mass_loss_rate * decay, gamma0,
                  state.pressure / vacuum.MBAR, state.number_density,
-                 _blame("--sphere-radius", vacuum.collision_rate, gamma0,
-                        args.sphere_radius),
+                 build(vacuum.collision_rate, "--sphere-radius", gamma0,
+                       args.sphere_radius),
                  vacuum.implied_emitting_area(row.mass_loss_rate,
                                               row.species_mass, row.gamma0)]
         if with_dilution:
-            patch_area = math.pi * (0.5 * args.patch_diameter) ** 2
-            diluted = _blame("--patch-diameter and --distance",
-                             vacuum.dilution_from_patch, state.number_density,
-                             patch_area, args.distance)
-            cells += [diluted, diluted / state.number_density]
+            cells += [vacuum.dilution_from_patch(state.number_density,
+                                                 patch_area, args.distance),
+                      dilution]
         if args.cold_temperature is not None:
-            hot = f"t_hot is {source}.temperature_K, {temperature} K"
-            cells += [_blame(f"--cold-temperature ({hot})",
-                             vacuum.pressure_attenuation,
-                             energy, temperature, args.cold_temperature)
-                      for energy in (10.0, 30.0)]
+            cells += attenuation
         rows.append(cells)
 
     atomic_write_text(args.out, csv_text(header, rows))
@@ -262,11 +258,6 @@ def cmd_vacuum_report(args):
                     "cold_temperature": args.cold_temperature})
     print(f"wrote {args.out} ({len(selected)} materials)")
     return 0
-
-
-def _given(doc, key, path, missing):
-    """An optional number: `missing` when the key is absent."""
-    return number(doc, key, path) if key in doc else missing
 
 
 def cmd_mission_report(args):
@@ -284,31 +275,33 @@ def cmd_mission_report(args):
     where = f"{source}.targets"
     rows = [
         ("orbital_period_days", period / 86400.0,
-         _given(targets, "period_days", where, ""), "day"),
+         number(targets, "period_days", where, ""), "day"),
         ("perigee_gravity", gravity.acceleration, "", "m/s^2"),
         ("perigee_gravity_g_fraction", gravity.g_fraction,
-         _given(targets, "perigee_gravity_g", where, ""), "g"),
+         number(targets, "perigee_gravity_g", where, ""), "g"),
     ]
 
     window = None
     if "perigee_band_altitude_km" in targets:
         low, high = pair(targets, "perigee_band_altitude_km", where)
-        window = mission.altitude_window(orbit, low * 1e3, high * 1e3)
+        window = build(mission.altitude_window, where, orbit, low * 1e3,
+                       high * 1e3)
         rows.append(("perigee_window_minutes", window / 60.0,
-                     _given(targets, "perigee_window_minutes", where, ""), "min"))
-    psd = _given(targets, "accel_psd_m_s2_sqrtHz", where, None)
+                     number(targets, "perigee_window_minutes", where, ""), "min"))
+    psd = number(targets, "accel_psd_m_s2_sqrtHz", where, None)
     if psd and window:
-        acc = mission.integrated_accuracy(psd, window,
-                                          reference_accel=gravity.acceleration)
+        acc = build(mission.integrated_accuracy, where, psd, window,
+                    reference_accel=gravity.acceleration)
         rows.append(("integrated_accuracy", acc.absolute,
-                     _given(targets, "integrated_accuracy_m_s2", where, ""),
+                     number(targets, "integrated_accuracy_m_s2", where, ""),
                      "m/s^2"))
         rows.append(("integrated_fraction_of_perigee_g", acc.fractional, "", "1"))
 
     if thrusters:
         where = f"{source}.thrusters"
-        force = _given(thrusters, "force_psd_N_sqrtHz", where, None)
-        craft_mass = _given(thrusters, "spacecraft_mass_kg", where, None)
+        accel = build(mission.thruster_accel_psd, where,
+                      number(thrusters, "force_psd_N_sqrtHz", where, None),
+                      number(thrusters, "spacecraft_mass_kg", where, None))
         where += ".position_hold_claims"
         claims = thrusters.get("position_hold_claims", [])
         if not isinstance(claims, list):
@@ -317,14 +310,13 @@ def cmd_mission_report(args):
         for i in claims:
             claim = section(claims, i, where)
             duration = number(claim, "duration_s", f"{where}.{i}")
-            noise = mission.thruster_position_noise(
-                duration, force_psd=force, spacecraft_mass=craft_mass)
+            noise = build(mission.thruster_position_noise, f"{where}.{i}",
+                          duration, accel_psd=accel)
             rows.append((f"thruster_position_spread_{duration:g}s",
                          noise.position_spread,
-                         _given(claim, "position_m", f"{where}.{i}", ""), "m"))
-        if force and craft_mass:
-            rows.append(("thruster_accel_psd", force / craft_mass, "",
-                         "(m/s^2)/sqrt(Hz)"))
+                         number(claim, "position_m", f"{where}.{i}", ""), "m"))
+        if accel:
+            rows.append(("thruster_accel_psd", accel, "", "(m/s^2)/sqrt(Hz)"))
 
     warnings = []
     for name in sorted(ledgers):

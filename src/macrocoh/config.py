@@ -10,63 +10,57 @@ has it; both parsers feed the same safe constructors and give equal mappings.
 """
 
 import json
+import os
 import sys
-from importlib import resources
 from operator import attrgetter
 
 _LOADER = None  # PyYAML's safe loader class, chosen on the first user file
+_DATA = os.path.join(os.path.dirname(__file__), "data")  # the packaged files
+_REQUIRED = object()  # the default of a field that has none
 
 
 class ConfigError(ValueError):
     """Invalid or incomplete configuration; the message names the bad field."""
 
 
-def load_yaml(path):
-    """Parse a YAML file into a mapping, with line diagnostics on bad syntax."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _mapping(fh, path)
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: file not found") from None
-    except OSError as exc:  # a directory, no permission, ...
-        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
-
-
 def load_document(path, *packaged):
     """(mapping, source name) of the YAML file at `path`, or, when path is
     None, of the file shipped under macrocoh/data/ at `packaged`, which is
     JSON text and parsed by `json`."""
-    if path is not None:
-        return load_yaml(path), str(path)
-    source = f"<packaged {'/'.join(packaged)}>"
-    data = resources.files(__package__).joinpath("data", *packaged)
-    try:
-        doc = json.loads(data.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{source}: malformed JSON at line {exc.lineno}: "
-                          f"{exc.msg}") from None
-    return _top_mapping(doc, source), source
+    if path is None:
+        source = f"<packaged {'/'.join(packaged)}>"
+        try:
+            with open(os.path.join(_DATA, *packaged), encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{source}: malformed JSON at line {exc.lineno}: "
+                              f"{exc.msg}") from None
+    else:
+        source, doc = str(path), _yaml_document(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source}: top level must be a mapping")
+    return doc, source
 
 
-def _mapping(stream, source):
+def _yaml_document(path):
+    """The parsed YAML file at `path`; a ConfigError naming the file, and the
+    line of bad syntax, when it cannot be read or parsed."""
     global _LOADER
     import yaml
 
     if _LOADER is None:
         _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
-        doc = yaml.load(stream, Loader=_LOADER)
+        with open(path, "r", encoding="utf-8") as fh:
+            return yaml.load(fh, Loader=_LOADER)
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: file not found") from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ConfigError(f"{source}: malformed YAML{where}: {exc}") from None
-    return _top_mapping(doc, source)
-
-
-def _top_mapping(doc, source):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{source}: top level must be a mapping")
-    return doc
+        raise ConfigError(f"{path}: malformed YAML{where}: {exc}") from None
 
 
 def section(doc, key, path):
@@ -76,12 +70,12 @@ def section(doc, key, path):
     return value
 
 
-def number(doc, key, path, default=None):
-    """Required (or defaulted) finite numeric field."""
+def number(doc, key, path, default=_REQUIRED):
+    """Finite numeric field as a float; `default` as given when it is absent."""
     if key not in doc:
-        if default is not None:
-            return float(default)
-        raise ConfigError(f"{path}.{key}: missing required field")
+        if default is _REQUIRED:
+            raise ConfigError(f"{path}.{key}: missing required field")
+        return default
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
@@ -108,20 +102,20 @@ def entries(doc, key, path):
             for name in table]
 
 
-def quantity(doc, path, options, default=None):
+def quantity(doc, path, options, default=_REQUIRED):
     """Numeric field accepted under one of several unit-suffixed keys.
 
     `options` maps key name -> multiplier to SI.  Exactly one of the keys may
-    be present; a missing field falls back to `default` (already in SI) or
-    raises naming all accepted spellings.
+    be present; a missing field is `default` as given (already in SI), or an
+    error naming all accepted spellings when no default is given.
     """
     present = [key for key in options if key in doc]
     if len(present) > 1:
         raise ConfigError(f"{path}: give only one of {sorted(options)}")
     if not present:
-        if default is not None:
-            return float(default)
-        raise ConfigError(f"{path}: missing one of {sorted(options)}")
+        if default is _REQUIRED:
+            raise ConfigError(f"{path}: missing one of {sorted(options)}")
+        return default
     key = present[0]
     return number(doc, key, path) * options[key]
 
@@ -199,11 +193,12 @@ def replace(obj, **changes):
     return type(obj)(**fields)
 
 
-def build(cls, path, **fields):
-    """cls(**fields), its own range checks failing as a ConfigError that
-    names `path`, the dotted path of the mapping the fields were read from."""
+def build(make, path, *args, **fields):
+    """make(*args, **fields), a ValueError of its own range checks re-raised
+    as a ConfigError naming `path`: the dotted path of the mapping the values
+    were read from, or the flags that gave them."""
     try:
-        return cls(**fields)
+        return make(*args, **fields)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

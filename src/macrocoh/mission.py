@@ -132,15 +132,22 @@ def thruster_position_noise(duration, accel_psd=None, force_psd=None,
     if not duration > 0.0:
         raise ValueError("duration must be positive")
     if accel_psd is None:
-        if force_psd is None or spacecraft_mass is None:
-            raise ValueError("give accel_psd, or force_psd with spacecraft_mass")
-        if not spacecraft_mass > 0.0:
-            raise ValueError("spacecraft mass must be positive")
-        accel_psd = force_psd / spacecraft_mass
-    if accel_psd < 0.0:
+        accel_psd = thruster_accel_psd(force_psd, spacecraft_mass)
+    elif accel_psd < 0.0:
         raise ValueError("acceleration PSD must be non-negative")
     spread = math.sqrt(accel_psd**2 * duration**3 / 3.0)
     return ThrusterNoise(accel_psd=accel_psd, position_spread=spread)
+
+
+def thruster_accel_psd(force_psd, spacecraft_mass):
+    """Acceleration noise PSD force_psd / spacecraft_mass, (m/s^2)/sqrt(Hz)."""
+    if force_psd is None or spacecraft_mass is None:
+        raise ValueError("give accel_psd, or force_psd with spacecraft_mass")
+    if not spacecraft_mass > 0.0:
+        raise ValueError("spacecraft mass must be positive")
+    if force_psd < 0.0:
+        raise ValueError("acceleration PSD must be non-negative")
+    return force_psd / spacecraft_mass
 
 
 def cooling_noise_threshold(g0, quality_factor, temperature):

@@ -29,6 +29,8 @@ class ComplexPermittivity:
     def __post_init__(self):
         if self.imag_part < 0.0:
             raise ValueError("passive material requires Im(eps) >= 0")
+        if self.as_complex() == -2.0:
+            raise ValueError("eps = -2 has no Clausius-Mossotti factor")
 
     def as_complex(self):
         return complex(self.real_part, self.imag_part)
@@ -137,8 +139,6 @@ def expansion_velocity(mass, x0):
 def clausius_mossotti(eps):
     """Polarizability factor (eps - 1) / (eps + 2) as a complex number."""
     value = eps.as_complex()
-    if abs(value + 2.0) == 0.0:
-        raise ValueError("eps = -2 has no Clausius-Mossotti factor")
     return (value - 1.0) / (value + 2.0)
 
 
@@ -207,7 +207,7 @@ def scenario_from_mapping(doc, source="<scenario>"):
 
 
 def load_scenario(path):
-    return scenario_from_mapping(config.load_yaml(path), source=str(path))
+    return scenario_from_mapping(*config.load_document(path))
 
 
 PRESET_FILES = {

@@ -235,6 +235,8 @@ def load_materials(path=None):
     """Load material presets; returns (temperature_K, species dict, summary dict)."""
     doc, source = config.load_document(path, "materials.yaml")
     temperature = config.number(doc, "temperature_K", source)
+    if not temperature > 0.0:
+        raise config.ConfigError(f"{source}.temperature_K: must be positive")
     species = {name: _material_from_mapping(name, entry, path)
                for name, entry, path in config.entries(doc, "species_table", source)}
     summaries = {name: _summary_from_mapping(name, entry, path)

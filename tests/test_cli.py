@@ -403,9 +403,22 @@ def test_testability_non_finite_radius_bound_exit_2(tmp_path, capsys, flag,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["testability", flag, value, "--out", str(out)]) == 2
-    field = flag[2:].replace("-", "_")
     assert capsys.readouterr().err == \
-        f"error: invalid input: {field} must be finite\n"
+        f"error: {flag}: must be finite, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--radius-min", "1e-6"), "need 0 < radius_min < radius_max"),
+    (("--points", "1"), "a sweep needs at least 2 points"),
+    (("--models", "csl,csl"), "model names must be unique within a sweep")])
+def test_testability_out_of_range_flag_exit_2_names_the_flags(
+        tmp_path, capsys, flags, message):
+    out = tmp_path / "sweep.csv"
+    assert main(["testability", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --radius-min, --radius-max, --points and --models: "
+        f"{message}\n")
     assert not out.exists()
 
 
@@ -475,6 +488,20 @@ def test_vacuum_report_optional_columns(tmp_path):
                                                               rel=1e-3)
     assert float(rows[0]["attenuation_at_10_Eroom"]) == pytest.approx(
         3.86e39, rel=1e-2)
+
+
+@pytest.mark.parametrize("time, diameter, distance", [
+    ("3600", "1e-3", "0.1"), ("1e12", "0.01", "1")])
+def test_vacuum_report_dilution_factor_is_the_geometry(tmp_path, time,
+                                                       diameter, distance):
+    # A / (2 x^2) of the patch, whatever the material; at 1e12 s every
+    # density has decayed to 0 and the factor is still defined
+    out = tmp_path / "vac.csv"
+    assert main(["vacuum-report", "--time", time, "--patch-diameter", diameter,
+                 "--distance", distance, "--out", str(out)]) == 0
+    area = math.pi * (0.5 * float(diameter)) ** 2
+    factors = {row["dilution_factor"] for row in read_rows(out)}
+    assert factors == {repr(area / (2.0 * float(distance) ** 2))}
 
 
 @pytest.mark.parametrize("given", [["--patch-diameter", "1e-3"],

@@ -196,7 +196,7 @@ def test_malformed_packaged_document_names_it(tmp_path, monkeypatch, text,
                                               message):
     (tmp_path / "data").mkdir()
     (tmp_path / "data" / "budgets.yaml").write_text(text, encoding="utf-8")
-    monkeypatch.setattr(config.resources, "files", lambda package: tmp_path)
+    monkeypatch.setattr(config, "_DATA", str(tmp_path / "data"))
     with pytest.raises(config.ConfigError) as caught:
         config.load_document(None, "budgets.yaml")
     assert str(caught.value) == f"<packaged budgets.yaml>: {message}"

@@ -24,6 +24,7 @@ INPUTS = {
 }
 # keys that no command reads
 UNREAD = {"orbit": {("label",)}}
+MISSING = object()  # run_with's value that deletes the key
 
 
 def packaged(kind):
@@ -74,9 +75,13 @@ def lookup(doc, path):
 
 def run_with(kind, path, value, folder):
     """(exit code, stderr, dotted path of the field) of the command reading
-    the packaged document of `kind` with the value at `path` replaced."""
+    the packaged document of `kind` with the value at `path` replaced, or
+    deleted when it is MISSING."""
     doc = packaged(kind)
-    lookup(doc, path[:-1])[path[-1]] = value
+    if value is MISSING:
+        del lookup(doc, path[:-1])[path[-1]]
+    else:
+        lookup(doc, path[:-1])[path[-1]] = value
     source = folder / f"{kind}.yaml"
     source.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
     command, flag, _ = INPUTS[kind]
@@ -110,6 +115,8 @@ def assert_names_the_field(code, err, dotted):
     ("orbit", ("perigee_altitude_km",), math.inf),
     ("orbit", ("targets", "period_days"), math.nan),
     ("scenario", ("particle", "density_kg_m3"), 10 ** 400),
+    ("materials", ("temperature_K",), 0.0),
+    ("materials", ("temperature_K",), -5.0),
 ])
 def test_malformed_field_exit_2(tmp_path, kind, path, value):
     assert_names_the_field(*run_with(kind, path, value, tmp_path))
@@ -130,6 +137,18 @@ def test_malformed_field_exit_2(tmp_path, kind, path, value):
      "mass-loss rate must be non-negative"),
     ("materials", ("summary_table", "cfrp", "pressure_mbar"), -1.0,
      "pressure must be non-negative"),
+    ("orbit", ("thrusters", "spacecraft_mass_kg"), MISSING,
+     "give accel_psd, or force_psd with spacecraft_mass"),
+    ("orbit", ("thrusters", "spacecraft_mass_kg"), 0.0,
+     "spacecraft mass must be positive"),
+    ("orbit", ("thrusters", "force_psd_N_sqrtHz"), -1.0,
+     "acceleration PSD must be non-negative"),
+    ("orbit", ("thrusters", "position_hold_claims", 1, "duration_s"), 0.0,
+     "duration must be positive"),
+    ("orbit", ("targets", "accel_psd_m_s2_sqrtHz"), -1.0e-9,
+     "psd, integration time, and reference must be positive"),
+    ("orbit", ("targets", "perigee_band_altitude_km"), [100.0, 200.0],
+     "altitude band lies outside the orbit"),
 ])
 def test_out_of_range_value_names_its_section(tmp_path, kind, path, value,
                                               message):
@@ -137,6 +156,22 @@ def test_out_of_range_value_names_its_section(tmp_path, kind, path, value,
     code, err, dotted = run_with(kind, path, value, tmp_path)
     assert code == 2
     assert err == f"error: {dotted.rsplit('.', 1)[0]}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["decoherence-report", "testability"])
+def test_permittivity_minus_two_names_it(tmp_path, capsys, command):
+    # eps = -2 has no Clausius-Mossotti factor, so the scenario is rejected
+    # as it loads, before any row is computed
+    doc = packaged("scenario")
+    doc["particle"]["permittivity_bb"] = {"real": -2.0, "imag": 0.0}
+    source = tmp_path / "scenario.yaml"
+    source.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([command, "--scenario", str(source), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {source}.particle.permittivity_bb: "
+        "eps = -2 has no Clausius-Mossotti factor\n")
+    assert not out.exists()
 
 
 def test_scenario_without_a_radius_exit_2(tmp_path, capsys):

@@ -65,6 +65,12 @@ REPORTS = (
         ("--cold-temperature", "0"), ("--cold-temperature", "400"),
         ("--sphere-radius", "-1"), ("--time", "-1"))),
     ("testability", "--models", ",", "--out", "sweep.csv"),
+    *(("testability", *flags, "--out", "sweep.csv") for flags in (
+        ("--radius-min", "1e-6"), ("--points", "1"), ("--models", "csl,csl"),
+        ("--radius-min", "nan"))),
+    # every density decays to 0; the dilution factor is the geometry's
+    ("vacuum-report", "--time", "1e12", "--patch-diameter", "0.01",
+     "--distance", "1", "--out", "vacuum.csv"),
     # each packaged file given as a user file, parsed by PyYAML
     *((command, "--scenario", f"{DATA}/scenarios/{name}.yaml", "--out", out)
       for name in ("baseline_fig2", "fig3_left", "fig3_right")
