@@ -28,8 +28,7 @@ _EXPORTS = {
     "numerics": "QuadratureError",
     "scenario": "ComplexPermittivity Environment Particle Scenario Trap "
                 "clausius_mossotti expansion_velocity ground_state_width "
-                "load_preset load_scenario particle_mass scenario_kinematics "
-                "scenario_presets",
+                "load_preset load_scenario scenario_kinematics scenario_presets",
     "testability": "MODEL_PRESETS ModelSpec SweepConfig SweepRow SweepTable "
                    "sweep violation_intervals",
     "vacuum": "EmissionSummary GasState MaterialOutgassing OutgassingSpecies "

@@ -86,7 +86,8 @@ def _resolve_scenario(args):
 
     if args.scenario is not None:
         return scenario.load_scenario(args.scenario), str(args.scenario)
-    return scenario.load_preset(args.preset), f"preset:{args.preset}"
+    return (build(scenario.load_preset, "--preset", args.preset),
+            f"preset:{args.preset}")
 
 
 # ---------------------------------------------------------------- commands
@@ -100,14 +101,12 @@ def cmd_decoherence_report(args):
     kin = scenario.kinematics
     rates = qm_channel_rates(scenario)
     spec = rates.as_decoherence_spec()
-    try:
-        cet = expansion.solve_cet(spec, kin)
-        ced = kin.v_m * cet
-        factors = expansion.visibility_factor(expansion.gamma(cet, spec, kin))
-        amplitude, visibility = factors.amplitude, factors.visibility
-    except expansion.InfiniteCoherenceError:
-        cet = ced = math.inf
-        amplitude = visibility = math.nan
+    cet = expansion.cet_or_inf(spec, kin)
+    ced = kin.v_m * cet
+    amplitude = visibility = math.nan
+    if math.isfinite(cet):
+        amplitude, visibility = expansion.visibility_factor(
+            expansion.gamma(cet, spec, kin))
 
     rows = [
         ("particle_radius", scenario.particle.radius, "m"),
@@ -195,8 +194,7 @@ def cmd_vacuum_report(args):
                     "distance", "cold_temperature")
     if args.time < 0.0:
         raise ConfigError("--time: must be non-negative")
-    temperature, _, summaries = vacuum.load_materials(args.materials)
-    source = str(args.materials or "<packaged materials.yaml>")
+    temperature, _, summaries, source = vacuum.load_materials(args.materials)
     selected = list(summaries)
     if args.material:
         unknown = [n for n in args.material if n not in summaries]
@@ -263,12 +261,11 @@ def cmd_vacuum_report(args):
 def cmd_mission_report(args):
     from . import mission
 
-    orbit, doc = mission.load_orbit(args.orbit)
-    source = str(args.orbit or "<packaged orbit_heo.yaml>")
+    orbit, doc, source = mission.load_orbit(args.orbit)
     # optional sections, but mappings when given
     targets, thrusters = (section(doc, key, source) if key in doc else {}
                           for key in ("targets", "thrusters"))
-    ledgers = mission.load_budgets(args.budgets)
+    ledgers, budgets_source = mission.load_budgets(args.budgets)
 
     period = mission.orbital_period(orbit)
     gravity = mission.local_gravity(orbit, orbit.perigee_altitude)
@@ -289,7 +286,7 @@ def cmd_mission_report(args):
         rows.append(("perigee_window_minutes", window / 60.0,
                      number(targets, "perigee_window_minutes", where, ""), "min"))
     psd = number(targets, "accel_psd_m_s2_sqrtHz", where, None)
-    if psd and window:
+    if psd is not None and window is not None:
         acc = build(mission.integrated_accuracy, where, psd, window,
                     reference_accel=gravity.acceleration)
         rows.append(("integrated_accuracy", acc.absolute,
@@ -311,12 +308,11 @@ def cmd_mission_report(args):
             claim = section(claims, i, where)
             duration = number(claim, "duration_s", f"{where}.{i}")
             noise = build(mission.thruster_position_noise, f"{where}.{i}",
-                          duration, accel_psd=accel)
+                          duration, accel)
             rows.append((f"thruster_position_spread_{duration:g}s",
                          noise.position_spread,
                          number(claim, "position_m", f"{where}.{i}", ""), "m"))
-        if accel:
-            rows.append(("thruster_accel_psd", accel, "", "(m/s^2)/sqrt(Hz)"))
+        rows.append(("thruster_accel_psd", accel, "", "(m/s^2)/sqrt(Hz)"))
 
     warnings = []
     for name in sorted(ledgers):
@@ -332,14 +328,12 @@ def cmd_mission_report(args):
 
     atomic_write_text(args.out, csv_text(
         ("quantity", "computed", "target", "unit"), rows))
-    write_manifest("mission-report",
-                   [source, args.budgets or "<packaged budgets.yaml>"],
-                   [args.out],
+    write_manifest("mission-report", [source, budgets_source], [args.out],
                    {"orbit": str(args.orbit), "budgets": str(args.budgets)})
 
     print(f"period {period / 86400.0:.2f} d, perigee gravity "
           f"{gravity.g_fraction:.3f} g"
-          + (f", window {window / 60.0:.1f} min" if window else ""))
+          + (f", window {window / 60.0:.1f} min" if window is not None else ""))
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"wrote {args.out}")

@@ -14,7 +14,6 @@ import math
 from .config import record
 from .constants import CONSTANTS
 from .numerics import any_true, exp, piecewise, power
-from .scenario import particle_mass
 
 
 class ModelId(str, enum.Enum):
@@ -65,7 +64,7 @@ def _csl_shape_closed(x2):
 
 def csl_lambda(particle, params=CSL_DEFAULT):
     """CSL decoherence coefficient m^2 lambda0 alpha f(sqrt(alpha) r) / (4 m0^2)."""
-    mass = particle_mass(particle)
+    mass = particle.mass
     shape = csl_shape(math.sqrt(params.alpha) * particle.radius)
     return (power(mass, 2) * params.lambda0 * params.alpha * shape
             / (4.0 * CONSTANTS.m_nucleon**2))
@@ -87,27 +86,23 @@ def k_coherence_cell(particle):
     applies when the sphere is larger than the cell it predicts (r >= a1);
     otherwise the point-particle value a2 = (L / l_P)^2 L holds.
     """
-    mass = particle_mass(particle)
+    mass = particle.mass
     compton = CONSTANTS.hbar / _nonzero(
         mass * CONSTANTS.c, "K-model Compton wavelength hbar / (m c)", "m c")
     extended = (power(particle.radius / CONSTANTS.planck_length, 2.0 / 3.0)
                 * compton)
-    return piecewise(particle.radius >= extended, (extended, compton),
-                     _extended_cell, _point_cell)
+    return piecewise(particle.radius >= extended, (compton,), extended,
+                     _point_cell)
 
 
-def _extended_cell(extended, _):
-    return extended
-
-
-def _point_cell(_, compton):
+def _point_cell(compton):
     return power(compton / CONSTANTS.planck_length, 2) * compton
 
 
 def k_lambda(particle, cell=None):
     """K-model decoherence coefficient hbar / (8 m a_c^4); pass the coherence
     cell when it is already at hand."""
-    mass = particle_mass(particle)
+    mass = particle.mass
     if cell is None:
         cell = k_coherence_cell(particle)
     return CONSTANTS.hbar / _nonzero(

@@ -78,11 +78,26 @@ def number(doc, key, path, default=_REQUIRED):
         return default
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}"
+                          + _spelling_hint(value))
     if not abs(value) <= sys.float_info.max:  # NaN, inf or beyond a float
         raise ConfigError(f"{path}.{key}: expected a finite number, "
                           f"got {value!r}")
     return float(value)
+
+
+def _spelling_hint(value):
+    # PyYAML reads floats as YAML 1.1 writes them, with a '.' and a signed
+    # exponent, so 1e-08, 1e8 and 1.0e8 reach `number` as text; a number
+    # without an exponent ('10') is text only when it was quoted
+    try:
+        if (isinstance(value, str) and "e" in value.lower()
+                and abs(float(value)) <= sys.float_info.max):
+            return ("; YAML 1.1 reads it as text: write a '.' and a signed "
+                    "exponent, as in 1.0e-08")
+    except ValueError:
+        pass
+    return ""
 
 
 def pair(doc, key, path):

@@ -113,20 +113,12 @@ def _require_closed_form(spec):
         raise ValueError("closed form does not cover a general rate component")
 
 
-def _infinite(*_):
-    return math.inf
-
-
 def _time_at_separation(separation, kin):
     """Time at which 2 sigma(t) reaches the separation: 0 when it starts
     there or beyond, inf for an infinite separation."""
     half = 0.5 * separation
-    return piecewise(half <= kin.x0, (half, kin.x0_sq, kin.v_m), _zero_time,
+    return piecewise(half <= kin.x0, (half, kin.x0_sq, kin.v_m), 0.0,
                      _time_to_half)
-
-
-def _zero_time(*_):
-    return 0.0
 
 
 def _time_to_half(half, x0_sq, v_m):
@@ -185,7 +177,7 @@ def _cubic_root(a_cub, b_lin):
 
 
 def _cube_root_only(a_cub, _):
-    return piecewise(a_cub > 0.0, (a_cub,), _inverse_cube_root, _infinite)
+    return piecewise(a_cub > 0.0, (a_cub,), _inverse_cube_root, math.inf)
 
 
 def _inverse_cube_root(a_cub, *_):
@@ -218,20 +210,16 @@ def _cubic_cet(lam, f_c, x0_sq, v_sq):
     return _cubic_root(16.0 / 3.0 * lam * v_sq, 16.0 * lam * x0_sq + 4.0 * f_c)
 
 
-def _saturated_cet(_, lam, f_c, b, t_b, x0_sq, v_sq):
+def _saturated_cet(lam, f_c, b, t_b, x0_sq, v_sq):
     saturated = _saturated_rate(lam, f_c, b)
     # a zero saturated rate means Lambda b^2 underflowed
     return piecewise(saturated == 0.0,
-                     (saturated, lam, f_c, t_b, x0_sq, v_sq), _infinite,
+                     (saturated, lam, f_c, t_b, x0_sq, v_sq), math.inf,
                      _linear_step)
 
 
 def _linear_step(saturated, lam, f_c, t_b, x0_sq, v_sq):
     return t_b + (0.25 - _cubic_gamma(t_b, lam, f_c, x0_sq, v_sq)) / saturated
-
-
-def _keep_cubic(tau, *_):
-    return tau
 
 
 def _cet(spec, kin):
@@ -246,9 +234,9 @@ def _cet(spec, kin):
                    spec.saturation_separation)
     x0_sq, v_sq = kin.x0_sq, kin.v_sq
     t_b = _time_at_separation(b, kin)
-    tau = piecewise(t_b > 0.0, (lam, f_c, x0_sq, v_sq), _cubic_cet, _infinite)
-    return piecewise(tau <= t_b, (tau, lam, f_c, b, t_b, x0_sq, v_sq),
-                     _keep_cubic, _saturated_cet)
+    tau = piecewise(t_b > 0.0, (lam, f_c, x0_sq, v_sq), _cubic_cet, math.inf)
+    return piecewise(tau <= t_b, (lam, f_c, b, t_b, x0_sq, v_sq), tau,
+                     _saturated_cet)
 
 
 def cet_closed_form(spec, kin):
@@ -287,7 +275,7 @@ def cet_or_inf(spec, kin):
     TAU_CAP); equal to it bit for bit elsewhere."""
     _require_closed_form(spec)
     tau = _cet(spec, kin)  # inf for a null law
-    return piecewise(tau > TAU_CAP, (tau,), _infinite, _keep_cubic)
+    return piecewise(tau > TAU_CAP, (), math.inf, tau)
 
 
 def ced_or_inf(spec, kin):

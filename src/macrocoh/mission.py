@@ -121,19 +121,15 @@ class ThrusterNoise:
     position_spread: float  # m
 
 
-def thruster_position_noise(duration, accel_psd=None, force_psd=None,
-                            spacecraft_mass=None):
+def thruster_position_noise(duration, accel_psd):
     """Free-drift position spread under white thruster acceleration noise.
 
     Double-integrated white noise gives sigma_x = sqrt(S_a t^3 / 3) with
-    S_a = accel_psd^2.  The acceleration PSD may be given directly or as
-    force_psd / spacecraft_mass.
+    S_a = accel_psd^2; `thruster_accel_psd` gives accel_psd from a force PSD.
     """
     if not duration > 0.0:
         raise ValueError("duration must be positive")
-    if accel_psd is None:
-        accel_psd = thruster_accel_psd(force_psd, spacecraft_mass)
-    elif accel_psd < 0.0:
+    if accel_psd < 0.0:
         raise ValueError("acceleration PSD must be non-negative")
     spread = math.sqrt(accel_psd**2 * duration**3 / 3.0)
     return ThrusterNoise(accel_psd=accel_psd, position_spread=spread)
@@ -189,7 +185,8 @@ def budget_check(ledger):
 
 
 def load_orbit(path=None):
-    """Load orbit elements plus the report target figures; returns (orbit, doc)."""
+    """Load orbit elements plus the report target figures; returns (orbit,
+    doc, source name)."""
     doc, source = config.load_document(path, "orbit_heo.yaml")
     orbit = config.build(
         OrbitElements, source,
@@ -203,7 +200,7 @@ def load_orbit(path=None):
         body_mu=config.number(doc, "body_mu_m3_s2", source, default=EARTH_MU),
         inclination_deg=config.number(doc, "inclination_deg", source, default=0.0),
     )
-    return orbit, doc
+    return orbit, doc, source
 
 
 def _ledger_from_mapping(name, doc, path):
@@ -220,10 +217,10 @@ def _ledger_from_mapping(name, doc, path):
 
 
 def load_budgets(path=None):
-    """Load budget ledgers keyed by name."""
+    """Load budget ledgers keyed by name; returns (ledgers, source name)."""
     doc, source = config.load_document(path, "budgets.yaml")
     ledgers = {}
     for group in ("mass_budgets", "power_budgets"):
         for name, entry, path in config.entries(doc, group, source):
             ledgers[name] = _ledger_from_mapping(name, entry, path)
-    return ledgers
+    return ledgers, source

@@ -128,15 +128,17 @@ def sqrt(x):
 
 
 def piecewise(cond, args, when_true, otherwise):
-    """`when_true(*args)` where cond holds and `otherwise(*args)` elsewhere.
+    """`when_true` where cond holds and `otherwise` elsewhere.
 
-    For a scalar condition this is an if/else.  For a column each branch runs
-    only on the elements it is chosen for (column arguments are subset,
-    scalars passed as they are), so a branch never sees an input it does not
-    apply to, and raises or flags nothing for one.
+    A branch is a function, called on `args`, or a value already computed:
+    a float, or a column as long as cond.  For a scalar condition this is an
+    if/else.  For a column each function runs only on the elements it is
+    chosen for (column arguments, and a column branch, are subset by the same
+    mask; scalars pass as they are), so a branch never sees an input it does
+    not apply to, and raises or flags nothing for one.
     """
     if not is_column(cond):
-        return when_true(*args) if cond else otherwise(*args)
+        return _branch(when_true if cond else otherwise, args)
     import numpy as np
 
     size = len(cond)
@@ -144,15 +146,21 @@ def piecewise(cond, args, when_true, otherwise):
     out = np.empty(size)
     # an empty column runs both branches on empty arguments
     if hits == size:
-        out[:] = when_true(*args)
+        out[:] = _branch(when_true, args)
     elif hits:
-        out[cond] = when_true(*_subset(args, cond))
+        out[cond] = _branch(when_true, args, cond)
     if hits == 0:
-        out[:] = otherwise(*args)
+        out[:] = _branch(otherwise, args)
     elif hits < size:
-        rest = ~cond
-        out[rest] = otherwise(*_subset(args, rest))
+        out[~cond] = _branch(otherwise, args, ~cond)
     return out
+
+
+def _branch(branch, args, mask=None):
+    # the branch's values, on the elements of mask when one is given
+    if callable(branch):
+        return branch(*(args if mask is None else _subset(args, mask)))
+    return branch[mask] if mask is not None and is_column(branch) else branch
 
 
 def _subset(args, mask):

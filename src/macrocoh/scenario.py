@@ -116,12 +116,6 @@ class Scenario:
         return ExpansionKinematics(x0=x0, v_m=expansion_velocity(mass, x0))
 
 
-def particle_mass(particle):
-    """Mass in kg of a homogeneous sphere, (4/3) pi r^3 rho; every law of a
-    particle shares one evaluation."""
-    return particle.mass
-
-
 def ground_state_width(mass, omega):
     """Ground-state extension sqrt(hbar / (2 m omega)) of a harmonic trap."""
     if not (all_true(mass > 0.0) and omega > 0.0):

@@ -35,8 +35,7 @@ from .config import csv_text, factory, record
 from .decoherence import qm_channel_rates
 from .expansion import DecoherenceSpec, ced_or_inf
 from .numerics import is_column
-from .scenario import (PRESET_FILES, load_preset, particle_mass,  # noqa: F401
-                       scenario_presets)
+from .scenario import PRESET_FILES, load_preset, scenario_presets  # noqa: F401
 
 
 @record
@@ -168,8 +167,7 @@ def model_decoherence_spec(model_spec, particle):
         return DecoherenceSpec(
             quadratic_lambda=csl_lambda(particle, model_spec.csl))
     if model is ModelId.QG:
-        return DecoherenceSpec(
-            quadratic_lambda=qg_lambda(particle_mass(particle)))
+        return DecoherenceSpec(quadratic_lambda=qg_lambda(particle.mass))
     if model is ModelId.K:
         cell = k_coherence_cell(particle)
         return DecoherenceSpec(

@@ -232,7 +232,8 @@ def _summary_from_mapping(name, doc, path):
 
 
 def load_materials(path=None):
-    """Load material presets; returns (temperature_K, species dict, summary dict)."""
+    """Load material presets; returns (temperature_K, species dict, summary
+    dict, source name)."""
     doc, source = config.load_document(path, "materials.yaml")
     temperature = config.number(doc, "temperature_K", source)
     if not temperature > 0.0:
@@ -241,4 +242,4 @@ def load_materials(path=None):
                for name, entry, path in config.entries(doc, "species_table", source)}
     summaries = {name: _summary_from_mapping(name, entry, path)
                  for name, entry, path in config.entries(doc, "summary_table", source)}
-    return temperature, species, summaries
+    return temperature, species, summaries, source

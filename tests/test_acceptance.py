@@ -31,7 +31,7 @@ def _verdict(name, ok, detail):
 
 def test_criterion_1_outgassing_summary_reproduction():
     t0 = time.perf_counter()
-    temperature, _, summaries = load_materials()
+    temperature, _, summaries, _ = load_materials()
     expected = {
         "cfrp": (603.0, 7.1e-10, 1.7e13),
         "kapton": (113.0, 1.3e-10, 3.0e12),
@@ -85,7 +85,7 @@ def test_criterion_3_orbit_numbers():
 
 
 def test_criterion_4_budget_ledgers():
-    ledgers = load_budgets()
+    ledgers, _ = load_budgets()
     expected = {
         "mission_dry": 544.0,
         "reference_dry": 628.0,

@@ -119,10 +119,13 @@ def test_decoherence_report_missing_field_exit_2(tmp_path, capsys):
 
 
 def test_decoherence_report_unknown_preset_exit_2(tmp_path, capsys):
-    assert main(["decoherence-report", "--preset", "nope",
-                 "--out", str(tmp_path / "x.csv")]) == 2
-    err = capsys.readouterr().err
-    assert "'nope'" in err and "available" in err and "fig3_right" in err
+    for command in ("decoherence-report", "testability"):
+        assert main([command, "--preset", "nope",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: --preset: unknown preset 'nope'; available: "
+            "['fig2_baseline', 'fig3_left', 'fig3_right']\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_decoherence_report_overflow_exit_1(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from macrocoh import (CONSTANTS, CSL_ADLER, CSL_DEFAULT, ComplexPermittivity,
                       CslParams, ModelId, Particle, csl_lambda, csl_shape,
                       dp_lambda, dp_rate, k_coherence_cell, k_lambda,
-                      qg_lambda, particle_mass)
+                      qg_lambda)
 from macrocoh.testability import MODEL_PRESETS, ModelSpec, model_decoherence_spec
 
 
@@ -114,7 +114,7 @@ def test_k_coherence_cell_baseline():
     # both numbers frozen from a 40-digit evaluation
     cell = k_coherence_cell(BASELINE)
     assert cell == pytest.approx(5.48830271449083e-7, rel=1e-10)
-    mass = particle_mass(BASELINE)
+    mass = BASELINE.mass
     compton = CONSTANTS.hbar / (mass * CONSTANTS.c)
     extended = (BASELINE.radius / CONSTANTS.planck_length) ** (2.0 / 3.0) * compton
     assert extended == pytest.approx(1.64427464055051e-7, rel=1e-10)
@@ -124,7 +124,7 @@ def test_k_coherence_cell_baseline():
 def test_k_coherence_cell_branch_self_consistency():
     for radius in (20e-9, 90e-9, 108e-9, 200e-9, 1e-6):
         particle = make_particle(radius=radius)
-        mass = particle_mass(particle)
+        mass = particle.mass
         compton = CONSTANTS.hbar / (mass * CONSTANTS.c)
         extended = (radius / CONSTANTS.planck_length) ** (2.0 / 3.0) * compton
         cell = k_coherence_cell(particle)
@@ -146,7 +146,7 @@ def test_k_coherence_cell_continuous_at_branch_crossover():
 def test_k_lambda_baseline_and_monotonicity():
     assert k_lambda(BASELINE) == pytest.approx(2.16171165402384e7, rel=1e-10)
     # increasing the cell at fixed mass lowers the coefficient (inverse quartic)
-    mass = particle_mass(BASELINE)
+    mass = BASELINE.mass
     cell = k_coherence_cell(BASELINE)
     direct = CONSTANTS.hbar / (8.0 * mass * cell**4)
     assert k_lambda(BASELINE) == pytest.approx(direct, rel=1e-12)

@@ -456,3 +456,6 @@ def test_piecewise_runs_each_branch_on_its_own_elements():
     assert out.tolist() == [math.inf, 1.0, 0.25]
     assert seen == [[1.0, 4.0]]
     assert piecewise(0.0 > 0.0, (0.0,), inverse, lambda value: -1.0) == -1.0
+    # a scalar condition takes a computed value as a branch too
+    assert piecewise(0.0 > 0.0, (0.0,), inverse, -1.0) == -1.0
+    assert piecewise(2.0 > 0.0, (2.0,), 0.5, inverse) == 0.5

@@ -19,7 +19,8 @@ DATA = SRC / "macrocoh" / "data"
 SHIPPED_YAML = sorted(DATA.glob("*.yaml")) + sorted(DATA.glob("scenarios/*.yaml"))
 
 # every name the package exported eagerly before it resolved them on use,
-# less the emission-spectrum oracle, which moved to tests/spectrum_oracle.py
+# less the emission-spectrum oracle, which moved to tests/spectrum_oracle.py,
+# and particle_mass, which the cached property Particle.mass replaced
 FORMER_EXPORTS = """
 BudgetCheck BudgetLedger CONSTANTS CSL_ADLER CSL_DEFAULT ChannelRates
 ComplexPermittivity CslParams DecoherenceSpec EmissionSummary
@@ -34,7 +35,7 @@ dilution_from_sphere dp_lambda dp_rate emission_rate
 expansion_velocity gamma gas_collision_rate ground_state_width
 integrated_accuracy k_coherence_cell k_lambda load_budgets load_materials
 load_orbit load_preset load_scenario local_gravity orbital_period
-outgassing_rate particle_mass pressure_attenuation qg_lambda qm_channel_rates
+outgassing_rate pressure_attenuation qg_lambda qm_channel_rates
 scenario_kinematics scenario_presets sigma solve_cet steady_state sweep
 thruster_position_noise violation_intervals visibility_factor
 """.split()

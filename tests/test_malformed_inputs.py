@@ -149,6 +149,12 @@ def test_malformed_field_exit_2(tmp_path, kind, path, value):
      "psd, integration time, and reference must be positive"),
     ("orbit", ("targets", "perigee_band_altitude_km"), [100.0, 200.0],
      "altitude band lies outside the orbit"),
+    # a zero PSD, or a band of one altitude (a window of 0 s), is checked
+    # like any other value, not taken as absent
+    ("orbit", ("targets", "accel_psd_m_s2_sqrtHz"), 0.0,
+     "psd, integration time, and reference must be positive"),
+    ("orbit", ("targets", "perigee_band_altitude_km"), [3800.0, 3800.0],
+     "psd, integration time, and reference must be positive"),
 ])
 def test_out_of_range_value_names_its_section(tmp_path, kind, path, value,
                                               message):
@@ -156,6 +162,32 @@ def test_out_of_range_value_names_its_section(tmp_path, kind, path, value,
     code, err, dotted = run_with(kind, path, value, tmp_path)
     assert code == 2
     assert err == f"error: {dotted.rsplit('.', 1)[0]}: {message}\n"
+
+
+@pytest.mark.parametrize("text, hint", [
+    ("1e-08", True), ("1e8", True), ("1.0e8", True), ("10", False),
+    ("nan", False), ("1e-08x", False)])
+def test_yaml_1_1_number_spelling_gets_a_hint(tmp_path, text, hint):
+    # PyYAML reads these as text ('10' because it is quoted); float() takes
+    # all but the last
+    code, err, dotted = run_with(
+        "orbit", ("targets", "accel_psd_m_s2_sqrtHz"), text, tmp_path)
+    assert code == 2
+    assert err == (f"error: {dotted}: expected a number, got {text!r}"
+                   + ("; YAML 1.1 reads it as text: write a '.' and a signed "
+                      "exponent, as in 1.0e-08" if hint else "") + "\n")
+
+
+def test_zero_thruster_force_psd_keeps_its_rows(tmp_path):
+    code, err, _ = run_with("orbit", ("thrusters", "force_psd_N_sqrtHz"), 0.0,
+                            tmp_path)
+    assert code == 0, err
+    rows = [line.split(",") for line in
+            (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    computed = {row[0]: row[1] for row in rows}
+    assert computed["thruster_accel_psd"] == "0.0"
+    assert computed["thruster_position_spread_10s"] == "0.0"
+    assert computed["thruster_position_spread_200s"] == "0.0"
 
 
 @pytest.mark.parametrize("command", ["decoherence-report", "testability"])

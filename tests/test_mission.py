@@ -9,6 +9,7 @@ from macrocoh import (BudgetLedger, OrbitElements, altitude_window,
                       integrated_accuracy, load_budgets, load_orbit,
                       local_gravity, orbital_period, thruster_position_noise)
 from macrocoh.constants import CONSTANTS
+from macrocoh.mission import thruster_accel_psd
 
 HEO = OrbitElements(apogee_altitude=650000e3, perigee_altitude=3800e3)
 
@@ -112,22 +113,19 @@ def test_integrated_accuracy_scalings():
 
 
 def test_thruster_noise_derivation_and_model():
-    noise = thruster_position_noise(10.0, force_psd=1e-8,
-                                    spacecraft_mass=2000.0)
+    noise = thruster_position_noise(10.0, thruster_accel_psd(1e-8, 2000.0))
     # plain division: 1e-8 N/sqrt(Hz) over 2000 kg
     assert noise.accel_psd == pytest.approx(5e-12, rel=1e-12)
-    direct = thruster_position_noise(10.0, accel_psd=5e-10)
+    direct = thruster_position_noise(10.0, 5e-10)
     # frozen sqrt(S_a t^3 / 3) for the random-walk model
     assert direct.position_spread == pytest.approx(9.128709291752768e-9,
                                                    rel=1e-12)
     # t^(3/2) growth
-    later = thruster_position_noise(40.0, accel_psd=5e-10)
+    later = thruster_position_noise(40.0, 5e-10)
     assert later.position_spread == pytest.approx(
         8.0 * direct.position_spread, rel=1e-12)
     with pytest.raises(ValueError):
-        thruster_position_noise(10.0)
-    with pytest.raises(ValueError):
-        thruster_position_noise(0.0, accel_psd=1e-10)
+        thruster_position_noise(0.0, 1e-10)
 
 
 def test_cooling_noise_threshold_scalings_and_scale():
@@ -148,7 +146,8 @@ def test_cooling_noise_threshold_scalings_and_scale():
 # ------------------------------------------------------------------ budgets
 
 def test_budget_checks_on_presets():
-    ledgers = load_budgets()
+    ledgers, source = load_budgets()
+    assert source == "<packaged budgets.yaml>"
     expected = {
         "reference_dry": 628.0,
         "mission_dry": 544.0,
@@ -176,7 +175,8 @@ def test_budget_check_reports_mismatch():
 
 
 def test_load_orbit_defaults_and_targets():
-    orbit, doc = load_orbit()
+    orbit, doc, source = load_orbit()
+    assert source == "<packaged orbit_heo.yaml>"
     assert orbit.apogee_altitude == 650000e3
     assert orbit.perigee_altitude == 3800e3
     assert orbit.body_radius == 6.371e6

@@ -31,7 +31,6 @@ def test_all_true_and_any_true_on_scalars():
 @pytest.mark.parametrize("name, cond", COLUMNS)
 def test_piecewise_runs_each_branch_only_on_its_elements(name, cond):
     x = np.arange(len(cond), dtype=float) + 1.0
-    seen = {"true": [], "false": []}
 
     def branch(key, sign):
         def run(values, scale):
@@ -39,25 +38,32 @@ def test_piecewise_runs_each_branch_only_on_its_elements(name, cond):
             return sign * scale * values
         return run
 
-    with np.errstate(all="raise"):
-        out = piecewise(cond, (x, 10.0), branch("true", 1.0),
-                        branch("false", -1.0))
-    assert out.dtype == float and len(out) == len(cond)
-    assert out.tolist() == np.where(cond, 10.0 * x, -10.0 * x).tolist()
-    hits = x[cond].tolist()
-    misses = x[~cond].tolist()
-    if len(cond) == 0:
-        # an empty column runs both branches once on empty arguments
-        assert seen == {"true": [[]], "false": [[]]}
-    else:
-        assert seen == {"true": [hits] if hits else [],
-                        "false": [misses] if misses else []}
+    # the otherwise branch as a function, and as a computed value: a float,
+    # or a column subset by the mask (an empty one for the empty condition)
+    for otherwise, rest in ((branch("false", -1.0), -10.0 * x),
+                            (-7.0, -7.0), (-10.0 * x, -10.0 * x)):
+        seen = {"true": [], "false": []}
+        with np.errstate(all="raise"):
+            out = piecewise(cond, (x, 10.0), branch("true", 1.0), otherwise)
+        assert out.dtype == float and len(out) == len(cond)
+        assert out.tolist() == np.where(cond, 10.0 * x, rest).tolist()
+        hits = x[cond].tolist()
+        misses = x[~cond].tolist() if callable(otherwise) else []
+        if len(cond) == 0:
+            # an empty column runs both branches once on empty arguments
+            assert seen == {"true": [[]],
+                            "false": [[]] if callable(otherwise) else []}
+        else:
+            assert seen == {"true": [hits] if hits else [],
+                            "false": [misses] if misses else []}
 
 
 @pytest.mark.parametrize("name, cond", COLUMNS)
 def test_piecewise_broadcasts_a_scalar_branch(name, cond):
-    out = piecewise(cond, (), lambda: 1.0, lambda: 0.0)
-    assert out.tolist() == cond.astype(float).tolist()
+    for when_true, otherwise in ((lambda: 1.0, lambda: 0.0), (1.0, 0.0),
+                                 (np.ones(len(cond)), 0.0)):
+        out = piecewise(cond, (), when_true, otherwise)
+        assert out.tolist() == cond.astype(float).tolist()
 
 
 def test_piecewise_gives_a_fresh_column():

@@ -6,7 +6,7 @@ import pytest
 
 from macrocoh import (CONSTANTS, ComplexPermittivity, Environment, Particle,
                       PhysicalConstants, Scenario, Trap, clausius_mossotti,
-                      expansion_velocity, ground_state_width, particle_mass,
+                      expansion_velocity, ground_state_width,
                       scenario_kinematics)
 from macrocoh.config import ConfigError, replace
 from macrocoh.scenario import load_preset, load_scenario, scenario_from_mapping
@@ -38,23 +38,23 @@ def test_constants_reject_nonpositive():
 
 def test_particle_mass_baseline():
     # frozen from a 40-digit evaluation of (4/3) pi r^3 rho
-    assert particle_mass(make_particle()) == pytest.approx(
+    assert make_particle().mass == pytest.approx(
         6.7210353584957031e-18, rel=1e-12)
 
 
 def test_particle_mass_cubic_scaling_and_degenerate_limit():
-    m1 = particle_mass(make_particle(radius=50e-9))
-    m2 = particle_mass(make_particle(radius=100e-9))
+    m1 = make_particle(radius=50e-9).mass
+    m2 = make_particle(radius=100e-9).mass
     assert m2 == pytest.approx(8.0 * m1, rel=1e-12)
-    assert particle_mass(make_particle(radius=1e-30)) < 1e-80
+    assert make_particle(radius=1e-30).mass < 1e-80
 
 
 def test_particle_mass_monotone_in_radius_and_density():
     radii = [1e-9 * 3**k for k in range(8)]
-    masses = [particle_mass(make_particle(radius=r)) for r in radii]
+    masses = [make_particle(radius=r).mass for r in radii]
     assert all(a < b for a, b in zip(masses, masses[1:]))
     densities = [100.0 * 2**k for k in range(8)]
-    masses = [particle_mass(make_particle(density=d)) for d in densities]
+    masses = [make_particle(density=d).mass for d in densities]
     assert all(a < b for a, b in zip(masses, masses[1:]))
 
 
@@ -237,7 +237,7 @@ def test_records_are_read_only_and_cache_derived_values():
         del particle.density
     assert particle.radius == 90e-9
     assert particle.mass is particle.mass  # cached_property, computed once
-    assert vars(particle)["mass"] == particle_mass(particle)
+    assert vars(particle)["mass"] == particle.mass
 
 
 def test_replace_checks_the_new_record():

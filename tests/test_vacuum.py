@@ -198,7 +198,8 @@ def test_bake_out_power_reference_values():
 # ------------------------------------------------------------------ presets
 
 def test_packaged_materials_round_trip():
-    temperature, species, summaries = load_materials()
+    temperature, species, summaries, source = load_materials()
+    assert source == "<packaged materials.yaml>"
     assert temperature == 300.0
     assert set(species) == {"adhesive_ec2216", "cfrp", "kapton"}
     assert set(summaries) == {"cfrp", "kapton", "adhesives"}
