@@ -116,16 +116,16 @@ def test_thruster_noise_derivation_and_model():
     noise = thruster_position_noise(10.0, thruster_accel_psd(1e-8, 2000.0))
     # plain division: 1e-8 N/sqrt(Hz) over 2000 kg
     assert noise.accel_psd == pytest.approx(5e-12, rel=1e-12)
-    direct = thruster_position_noise(10.0, 5e-10)
+    direct = thruster_position_noise(10.0, accel_psd=5e-10)
     # frozen sqrt(S_a t^3 / 3) for the random-walk model
     assert direct.position_spread == pytest.approx(9.128709291752768e-9,
                                                    rel=1e-12)
     # t^(3/2) growth
-    later = thruster_position_noise(40.0, 5e-10)
+    later = thruster_position_noise(40.0, accel_psd=5e-10)
     assert later.position_spread == pytest.approx(
         8.0 * direct.position_spread, rel=1e-12)
     with pytest.raises(ValueError):
-        thruster_position_noise(0.0, 1e-10)
+        thruster_position_noise(0.0, accel_psd=1e-10)
 
 
 def test_cooling_noise_threshold_scalings_and_scale():
