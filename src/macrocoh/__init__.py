@@ -13,8 +13,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "collapse": "CSL_ADLER CSL_DEFAULT CslParams ModelId csl_lambda csl_shape "
-                "dp_lambda dp_rate k_coherence_cell k_lambda qg_lambda",
+    "collapse": "CSL_ADLER CSL_DEFAULT CslParams csl_lambda csl_shape dp_lambda "
+                "dp_rate k_coherence_cell k_lambda qg_lambda",
     "constants": "CONSTANTS PhysicalConstants",
     "decoherence": "ChannelRates bb_absorb_lambda bb_emit_lambda "
                    "bb_scatter_lambda gas_collision_rate qm_channel_rates",

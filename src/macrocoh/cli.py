@@ -294,23 +294,27 @@ def cmd_mission_report(args):
                      "m/s^2"))
         rows.append(("integrated_fraction_of_perigee_g", acc.fractional, "", "1"))
 
-    if thrusters:
+    if "thrusters" in doc:
         where = f"{source}.thrusters"
         accel = build(mission.thruster_accel_psd, where,
-                      number(thrusters, "force_psd_N_sqrtHz", where, None),
-                      number(thrusters, "spacecraft_mass_kg", where, None))
+                      number(thrusters, "force_psd_N_sqrtHz", where),
+                      number(thrusters, "spacecraft_mass_kg", where))
         where += ".position_hold_claims"
         claims = thrusters.get("position_hold_claims", [])
         if not isinstance(claims, list):
             raise ConfigError(f"{where}: expected a list, got {claims!r}")
-        claims = dict(enumerate(claims))
+        claims, named = dict(enumerate(claims)), {}
         for i in claims:
             claim = section(claims, i, where)
             duration = number(claim, "duration_s", f"{where}.{i}")
+            name = f"thruster_position_spread_{duration:g}s"
+            if name in named:
+                raise ConfigError(f"{where}.{i}: duration_s gives the row "
+                                  f"{name} of claim {named[name]}")
+            named[name] = i
             noise = build(mission.thruster_position_noise, f"{where}.{i}",
                           duration, accel)
-            rows.append((f"thruster_position_spread_{duration:g}s",
-                         noise.position_spread,
+            rows.append((name, noise.position_spread,
                          number(claim, "position_m", f"{where}.{i}", ""), "m"))
         rows.append(("thruster_accel_psd", accel, "", "(m/s^2)/sqrt(Hz)"))
 

@@ -8,19 +8,11 @@ to a constant above it.  Every coefficient also takes a particle whose radius
 is a column, one sphere per element (see `numerics`).
 """
 
-import enum
 import math
 
 from .config import record
 from .constants import CONSTANTS
 from .numerics import any_true, exp, piecewise, power
-
-
-class ModelId(str, enum.Enum):
-    CSL = "csl"
-    QG = "qg"
-    K = "k"
-    DP = "dp"
 
 
 @record

@@ -135,22 +135,15 @@ def quantity(doc, path, options, default=_REQUIRED):
     return number(doc, key, path) * options[key]
 
 
-class factory:
-    """Default of a record field made anew for each instance: factory(dict)."""
-
-    def __init__(self, make):
-        self.make = make
-
-
 def record(cls):
     """Make `cls` a frozen record of its annotated fields, in their order.
 
     `__init__` takes the fields by position or keyword, fills in the class
-    defaults (calling a `factory` default per instance) and then runs the
-    class's `__post_init__` check.  Assigning or deleting an attribute
-    raises; functools.cached_property still works, as it writes the instance
-    `__dict__` directly.  Equality, hash and repr go over the field values.
-    Nothing is compiled, so building a record class costs microseconds.
+    defaults and then runs the class's `__post_init__` check.  Assigning or
+    deleting an attribute raises; functools.cached_property still works, as it
+    writes the instance `__dict__` directly.  Equality, hash and repr go over
+    the field values.  Nothing is compiled, so building a record class costs
+    microseconds.
     """
     names = tuple(cls.__annotations__)
     known = frozenset(names)
@@ -171,9 +164,7 @@ def record(cls):
             if name in kwargs:
                 state[name] = kwargs[name]
             elif name in defaults:
-                value = defaults[name]
-                state[name] = (value.make() if isinstance(value, factory)
-                               else value)
+                state[name] = defaults[name]
             else:
                 raise TypeError(f"{cls.__name__}() missing field {name!r}")
         if check is not None:

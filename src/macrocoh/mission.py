@@ -137,8 +137,6 @@ def thruster_position_noise(duration, accel_psd):
 
 def thruster_accel_psd(force_psd, spacecraft_mass):
     """Acceleration noise PSD force_psd / spacecraft_mass, (m/s^2)/sqrt(Hz)."""
-    if force_psd is None or spacecraft_mass is None:
-        raise ValueError("give accel_psd, or force_psd with spacecraft_mass")
     if not spacecraft_mass > 0.0:
         raise ValueError("spacecraft mass must be positive")
     if force_psd < 0.0:

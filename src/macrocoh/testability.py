@@ -29,9 +29,9 @@ import math
 from functools import partial
 from operator import attrgetter, lt
 
-from .collapse import (CSL_ADLER, CSL_DEFAULT, CslParams, ModelId, csl_lambda,
-                       dp_lambda, k_coherence_cell, k_lambda, qg_lambda)
-from .config import csv_text, factory, record
+from .collapse import (CSL_ADLER, CSL_DEFAULT, csl_lambda, dp_lambda,
+                       k_coherence_cell, k_lambda, qg_lambda)
+from .config import csv_text, record
 from .decoherence import qm_channel_rates
 from .expansion import DecoherenceSpec, ced_or_inf
 from .numerics import is_column
@@ -40,26 +40,56 @@ from .scenario import PRESET_FILES, load_preset, scenario_presets  # noqa: F401
 
 @record
 class ModelSpec:
-    """A collapse model plus its parameterization, named so that two
-    parameterizations of the same model can ride one sweep."""
+    """A collapse model under the name its sweep columns carry: `law(particle)`
+    gives the model's DecoherenceSpec.  Two parameterizations of one model
+    ride one sweep under two names, as ModelSpec("adler", csl_law(CSL_ADLER))
+    beside MODEL_PRESETS["csl"]."""
 
     name: str
-    model: ModelId
-    csl: CslParams = None
-    k_saturation: bool = False
+    law: object   # particle -> DecoherenceSpec
 
     def __post_init__(self):
-        if self.model is ModelId.CSL and self.csl is None:
-            raise ValueError(f"model spec {self.name!r}: CSL requires parameters")
+        if not callable(self.law):
+            raise ValueError(f"model spec {self.name!r}: law must be callable, "
+                             f"got {type(self.law).__name__}")
+
+
+# The laws.  CSL, QG and K are quadratic; DP saturates at the sphere radius
+# and the saturated K variant at one coherence cell.
+
+def csl_law(params):
+    """The CSL law with the given CslParams."""
+    def law(particle):
+        return DecoherenceSpec(quadratic_lambda=csl_lambda(particle, params))
+    return law
+
+
+def qg_law(particle):
+    return DecoherenceSpec(quadratic_lambda=qg_lambda(particle.mass))
+
+
+def k_law(particle):
+    return DecoherenceSpec(quadratic_lambda=k_lambda(particle))
+
+
+def k_sat_law(particle):
+    cell = k_coherence_cell(particle)
+    return DecoherenceSpec(quadratic_lambda=k_lambda(particle, cell),
+                           saturation_separation=cell)
+
+
+def dp_law(particle):
+    return DecoherenceSpec(quadratic_lambda=dp_lambda(particle),
+                           saturation_separation=particle.radius)
 
 
 MODEL_PRESETS = {
-    "csl": ModelSpec("csl", ModelId.CSL, csl=CSL_DEFAULT),
-    "csl_adler": ModelSpec("csl_adler", ModelId.CSL, csl=CSL_ADLER),
-    "qg": ModelSpec("qg", ModelId.QG),
-    "k": ModelSpec("k", ModelId.K),
-    "k_sat": ModelSpec("k_sat", ModelId.K, k_saturation=True),
-    "dp": ModelSpec("dp", ModelId.DP),
+    "csl": ModelSpec("csl", csl_law(CSL_DEFAULT)),
+    "csl_adler": ModelSpec("csl_adler", csl_law(CSL_ADLER)),
+    "qg": ModelSpec("qg", qg_law),
+    "k": ModelSpec("k", k_law),
+    "k_sat": ModelSpec("k_sat", k_sat_law),
+    "dp": ModelSpec("dp", dp_law),
 }
 
 
@@ -94,9 +124,9 @@ class SweepRow:
     radius: float   # m
     mass: float     # kg
     ced_qm: float   # m; math.inf when coherence never decays
-    ced_model: dict = factory(dict)   # name -> m (inf/nan allowed)
-    violated: dict = factory(dict)    # name -> bool, None if undecided
-    errors: dict = factory(dict)      # name (or "qm") -> message
+    ced_model: dict   # name -> m (inf/nan allowed)
+    violated: dict    # name -> bool, None if undecided
+    errors: dict      # name (or "qm") -> message
 
 
 @record
@@ -115,7 +145,7 @@ class SweepTable:
     ced_qm: list                  # m
     ced_model: dict               # name -> column of CED (m)
     violated: dict                # name -> column of True/False/None
-    errors: dict = factory(dict)
+    errors: dict
 
     def __len__(self):
         return len(self.radius)
@@ -157,26 +187,8 @@ def radius_grid(config):
 
 
 def model_decoherence_spec(model_spec, particle):
-    """DecoherenceSpec carrying only the given collapse model's law.
-
-    CSL, QG and K are quadratic; DP saturates at the sphere radius and the
-    saturated K variant at one coherence cell.
-    """
-    model = model_spec.model
-    if model is ModelId.CSL:
-        return DecoherenceSpec(
-            quadratic_lambda=csl_lambda(particle, model_spec.csl))
-    if model is ModelId.QG:
-        return DecoherenceSpec(quadratic_lambda=qg_lambda(particle.mass))
-    if model is ModelId.K:
-        cell = k_coherence_cell(particle)
-        return DecoherenceSpec(
-            quadratic_lambda=k_lambda(particle, cell),
-            saturation_separation=cell if model_spec.k_saturation else math.inf)
-    if model is ModelId.DP:
-        return DecoherenceSpec(quadratic_lambda=dp_lambda(particle),
-                               saturation_separation=particle.radius)
-    raise ValueError(f"unknown model {model!r}")
+    """DecoherenceSpec carrying only the given collapse model's law."""
+    return model_spec.law(particle)
 
 
 def _qm_ced(scenario):
@@ -185,8 +197,7 @@ def _qm_ced(scenario):
 
 
 def _model_ced(model_spec, scenario):
-    return ced_or_inf(model_decoherence_spec(model_spec, scenario.particle),
-                      scenario.kinematics)
+    return ced_or_inf(model_spec.law(scenario.particle), scenario.kinematics)
 
 
 # the message of a NaN cell whose solve raised nothing

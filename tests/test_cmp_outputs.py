@@ -1,8 +1,16 @@
 """The matrix and the comparison step of tools/cmp_outputs.py on fixed
 records."""
 
+import contextlib
 import importlib.util
+import io
+import json
+import shutil
 from pathlib import Path
+
+import yaml
+
+from macrocoh.cli import main
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cmp_outputs.py"
 spec = importlib.util.spec_from_file_location("cmp_outputs", TOOL)
@@ -21,12 +29,46 @@ def record(exit=0, stdout="wrote sweep.csv\n", stderr="", files=None):
 def test_matrix_covers_every_sweep_and_report_once():
     commands = cmp_outputs.matrix()
     assert len(commands) == (3 * 8 * 2 * 3 * 3 + 3 * 8
-                             + len(cmp_outputs.REPORTS)) == 492
+                             + len(cmp_outputs.REPORTS)) == 496
     assert len(set(commands)) == len(commands)
     assert commands[0] == (
         "testability", "--preset", "fig2_baseline", "--radius-min", "1e-8",
         "--radius-max", "5e-7", "--grid", "log", "--points", "2",
         "--models", "csl,csl_adler,qg,k", "--out", "sweep.csv")
+
+
+def test_each_edited_orbit_changes_one_field_of_the_packaged_one(tmp_path):
+    data = Path("src", "macrocoh", "data", "orbit_heo.yaml")
+    packaged = Path(__file__).resolve().parents[1] / data
+    (tmp_path / data).parent.mkdir(parents=True)
+    shutil.copy(packaged, tmp_path / data)
+    cmp_outputs.write_edited(tmp_path)
+    edited = {path.stem: yaml.safe_load(path.read_text())
+              for path in (tmp_path / "edited").iterdir()}
+    expected = {name: json.loads(packaged.read_text())
+                for name in ("no_force_psd", "no_spacecraft_mass",
+                             "empty_thrusters", "colliding_claims")}
+    del expected["no_force_psd"]["thrusters"]["force_psd_N_sqrtHz"]
+    del expected["no_spacecraft_mass"]["thrusters"]["spacecraft_mass_kg"]
+    expected["empty_thrusters"]["thrusters"] = {}
+    claims = expected["colliding_claims"]["thrusters"]["position_hold_claims"]
+    claims[1]["duration_s"] = 10.0000001
+    assert edited == expected
+    assert [args[2] for args in cmp_outputs.matrix()
+            if args[2].startswith("<tree>/edited/")] == [
+        f"<tree>/edited/{name}.yaml" for name in expected]
+    # each file reaches the error it was made for
+    for name, field in (("no_force_psd", "force_psd_N_sqrtHz: missing"),
+                        ("no_spacecraft_mass", "spacecraft_mass_kg: missing"),
+                        ("empty_thrusters", "force_psd_N_sqrtHz: missing"),
+                        ("colliding_claims", "position_hold_claims.1: ")):
+        orbit = tmp_path / "edited" / f"{name}.yaml"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["mission-report", "--orbit", str(orbit),
+                         "--out", str(tmp_path / "mission.csv")])
+        assert code == 2
+        assert err.getvalue().startswith(f"error: {orbit}.thrusters.{field}")
 
 
 def test_normalize_blanks_the_time_and_the_run_folder():

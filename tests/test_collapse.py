@@ -5,7 +5,7 @@ import math
 import pytest
 
 from macrocoh import (CONSTANTS, CSL_ADLER, CSL_DEFAULT, ComplexPermittivity,
-                      CslParams, ModelId, Particle, csl_lambda, csl_shape,
+                      CslParams, Particle, csl_lambda, csl_shape,
                       dp_lambda, dp_rate, k_coherence_cell, k_lambda,
                       qg_lambda)
 from macrocoh.testability import MODEL_PRESETS, ModelSpec, model_decoherence_spec
@@ -230,6 +230,7 @@ def test_rate_fn_dp_saturates_at_the_radius_like_dp_rate():
         assert fn(dx) == pytest.approx(dp_rate(BASELINE, dx), rel=1e-15, abs=0.0)
 
 
-def test_rate_fn_requires_csl_params():
-    with pytest.raises(ValueError):
-        ModelSpec("csl", ModelId.CSL)
+def test_model_spec_requires_a_callable_law():
+    with pytest.raises(ValueError, match=r"^model spec 'csl': law must be "
+                                         r"callable, got CslParams$"):
+        ModelSpec("csl", CSL_DEFAULT)

@@ -20,12 +20,13 @@ SHIPPED_YAML = sorted(DATA.glob("*.yaml")) + sorted(DATA.glob("scenarios/*.yaml"
 
 # every name the package exported eagerly before it resolved them on use,
 # less the emission-spectrum oracle, which moved to tests/spectrum_oracle.py,
-# and particle_mass, which the cached property Particle.mass replaced
+# particle_mass, which the cached property Particle.mass replaced, and
+# ModelId, as a ModelSpec now carries its law
 FORMER_EXPORTS = """
 BudgetCheck BudgetLedger CONSTANTS CSL_ADLER CSL_DEFAULT ChannelRates
 ComplexPermittivity CslParams DecoherenceSpec EmissionSummary
 Environment ExpansionKinematics GasState GravitySample InfiniteCoherenceError
-MODEL_PRESETS MaterialOutgassing ModelId ModelSpec OrbitElements
+MODEL_PRESETS MaterialOutgassing ModelSpec OrbitElements
 OutgassingSpecies Particle PhysicalConstants QuadratureError Scenario
 SweepConfig SweepRow SweepTable Trap VisibilityFactors altitude_window
 arrhenius_residence bake_out_power bb_absorb_lambda bb_emit_lambda

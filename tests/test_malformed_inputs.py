@@ -137,8 +137,9 @@ def test_malformed_field_exit_2(tmp_path, kind, path, value):
      "mass-loss rate must be non-negative"),
     ("materials", ("summary_table", "cfrp", "pressure_mbar"), -1.0,
      "pressure must be non-negative"),
-    ("orbit", ("thrusters", "spacecraft_mass_kg"), MISSING,
-     "give accel_psd, or force_psd with spacecraft_mass"),
+    # a claim whose duration names the row of an earlier claim ('10s')
+    ("orbit", ("thrusters", "position_hold_claims", 1, "duration_s"), 10.0,
+     "duration_s gives the row thruster_position_spread_10s of claim 0"),
     ("orbit", ("thrusters", "spacecraft_mass_kg"), 0.0,
      "spacecraft mass must be positive"),
     ("orbit", ("thrusters", "force_psd_N_sqrtHz"), -1.0,
@@ -155,13 +156,31 @@ def test_malformed_field_exit_2(tmp_path, kind, path, value):
      "psd, integration time, and reference must be positive"),
     ("orbit", ("targets", "perigee_band_altitude_km"), [3800.0, 3800.0],
      "psd, integration time, and reference must be positive"),
+    ("orbit", ("thrusters", "position_hold_claims", 1, "duration_s"),
+     10.0000001,
+     "duration_s gives the row thruster_position_spread_10s of claim 0"),
 ])
 def test_out_of_range_value_names_its_section(tmp_path, kind, path, value,
                                               message):
-    # a record's own range check names the mapping the record was read from
+    # a record's own range check names the mapping the record was read from,
+    # and a claim that repeats a row name names the claim
     code, err, dotted = run_with(kind, path, value, tmp_path)
     assert code == 2
     assert err == f"error: {dotted.rsplit('.', 1)[0]}: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["spacecraft_mass_kg", "force_psd_N_sqrtHz"])
+def test_missing_thruster_key_names_it(tmp_path, key):
+    code, err, dotted = run_with("orbit", ("thrusters", key), MISSING, tmp_path)
+    assert code == 2
+    assert err == f"error: {dotted}: missing required field\n"
+
+
+def test_empty_thruster_section_names_a_missing_key(tmp_path):
+    # a section given empty is read like a full one, not taken as absent
+    code, err, dotted = run_with("orbit", ("thrusters",), {}, tmp_path)
+    assert code == 2
+    assert err == f"error: {dotted}.force_psd_N_sqrtHz: missing required field\n"
 
 
 @pytest.mark.parametrize("text, hint", [

@@ -12,16 +12,17 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from macrocoh import (CONSTANTS, CslParams, Environment,
-                      ExpansionKinematics, InfiniteCoherenceError, ModelId,
+from macrocoh import (CONSTANTS, CSL_ADLER, CslParams, Environment,
+                      ExpansionKinematics, InfiniteCoherenceError,
                       csl_lambda, expansion, k_lambda, numerics,
                       qm_channel_rates, scenario_kinematics, testability)
 from macrocoh.config import ConfigError, replace
 from macrocoh.scenario import Scenario
 from macrocoh.testability import (MODEL_PRESETS, PRESET_FILES, SILENT_NAN,
                                   ModelSpec, SweepConfig, SweepRow, SweepTable,
-                                  evaluate_radius, load_preset,
-                                  model_decoherence_spec, radius_grid,
+                                  csl_law, evaluate_radius, k_sat_law,
+                                  load_preset, model_decoherence_spec,
+                                  radius_grid,
                                   scenario_presets, sweep, violation_intervals,
                                   write_intervals_csv, write_sweep_csv)
 
@@ -194,8 +195,7 @@ def test_load_preset_reads_one_file_and_names_the_others():
 
 def test_violation_antisymmetry_under_stronger_model():
     models = (MODEL_PRESETS["csl"],)
-    stronger = (ModelSpec("csl", ModelId.CSL,
-                          csl=CslParams(lambda0=1e-15)),)  # 10x rate
+    stronger = (ModelSpec("csl", csl_law(CslParams(lambda0=1e-15))),)  # 10x rate
     for radius in (5e-8, 9e-8, 3e-7):
         row = evaluate_radius(radius, BASELINE, models)
         if row.violated["csl"]:
@@ -212,7 +212,8 @@ def _table_from_patterns(**patterns):
                       ced_model={name: [ced[flag] for flag in flags]
                                  for name, flags in patterns.items()},
                       violated={name: list(flags)
-                                for name, flags in patterns.items()})
+                                for name, flags in patterns.items()},
+                      errors={})
 
 
 def test_violation_intervals_run_length_logic():
@@ -252,8 +253,8 @@ def test_infinite_comparisons():
     assert all(math.isinf(row.ced_qm) for row in rows)
     assert all(row.violated["csl"] for row in rows)
 
-    silent = (ModelSpec("null_csl", ModelId.CSL,
-                        csl=CslParams(lambda0=1e-300, alpha=1e-280)),)
+    silent = (ModelSpec("null_csl",
+                        csl_law(CslParams(lambda0=1e-300, alpha=1e-280))),)
     row = evaluate_radius(9e-8, zeroed_scenario(), silent)
     assert math.isinf(row.ced_qm) and math.isinf(row.ced_model["null_csl"])
     assert not row.violated["null_csl"]
@@ -294,8 +295,6 @@ def test_sweep_config_validation():
         SweepConfig(radius_min=1e-8, radius_max=5e-7, points=5,
                     scenario=BASELINE,
                     models=(MODEL_PRESETS["qg"], MODEL_PRESETS["qg"]))
-    with pytest.raises(ValueError):
-        ModelSpec("csl", ModelId.CSL)  # missing parameters
 
 
 def test_csv_round_trip_precision_and_layout():
@@ -332,13 +331,33 @@ def test_a_mass_beyond_the_float_range_fails_its_row():
     assert table[0] == evaluate_radius(1e-7, BASELINE, models)
 
 
-def test_sweep_tables_built_without_errors_get_their_own_dict():
+def test_sweep_records_take_every_field():
     columns = dict(radius=[], mass=[], ced_qm=[], ced_model={}, violated={})
-    first, second = SweepTable(**columns), SweepTable(**columns)
-    assert first.errors == second.errors == {}
-    assert first.errors is not second.errors
-    assert SweepRow(1e-7, 1e-17, 1e-8).errors is not \
-        SweepRow(1e-7, 1e-17, 1e-8).errors
+    with pytest.raises(TypeError, match="SweepTable\\(\\) missing field 'errors'"):
+        SweepTable(**columns)
+    with pytest.raises(TypeError, match="SweepRow\\(\\) missing field 'ced_model'"):
+        SweepRow(1e-7, 1e-17, 1e-8)
+
+
+@pytest.mark.parametrize("points", [100, 2000])
+def test_specs_built_from_laws_equal_their_presets_bit_for_bit(points):
+    # qm and two models: 300 cells go radius by radius, 6000 by columns; the
+    # range fails whole stretches, so messages are compared too
+    built = (ModelSpec("adler", csl_law(CSL_ADLER)),
+             ModelSpec("saturated_k", k_sat_law))
+    presets = (MODEL_PRESETS["csl_adler"], MODEL_PRESETS["k_sat"])
+    assert (3 * points <= testability.SCALAR_CELLS) == (points == 100)
+    mine, theirs = (sweep(SweepConfig(radius_min=1e-110, radius_max=1e110,
+                                      points=points, scenario=BASELINE,
+                                      models=models))
+                    for models in (built, presets))
+    renamed = {"adler": "csl_adler", "saturated_k": "k_sat", "qm": "qm"}
+    assert mine.errors  # the failing stretches are exercised
+    assert {i: {renamed[key]: message for key, message in row.items()}
+            for i, row in mine.errors.items()} == theirs.errors
+    # the CSV writes every float as its round-trip repr
+    assert (write_sweep_csv(mine).split("\n", 1)[1]
+            == write_sweep_csv(theirs).split("\n", 1)[1])
 
 
 def _libm_grid(lo, hi, points, grid):

@@ -15,18 +15,25 @@ points x 3 model sets of `testability`, then 3 presets x 8 radius ranges of
 2000 log points x all six models, whose failing stretches are halved more
 than twice, plus the report variants in REPORTS.  Some of those pass the
 tree's own data files by path (`<tree>` in an argument stands for the tree),
-so that PyYAML's reading of the packaged files is compared as well.
+so that PyYAML's reading of the packaged files is compared as well.  Others
+pass an orbit file of ORBIT_EDITS: the tree's packaged orbit with one field
+changed or deleted, written beside the tree's src/ before its runs.
 Runs whose records differ are printed grouped by the parent's exit code and
 last stderr line; the exit code is 0 when every run matches and 1 otherwise.
 """
 
+import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
+from operator import getitem
 from pathlib import Path
+
+import yaml
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import export  # noqa: E402
@@ -34,6 +41,16 @@ from bench_pairs import export  # noqa: E402
 PRESETS = ("fig2_baseline", "fig3_left", "fig3_right")
 TREE = "<tree>"
 DATA = f"{TREE}/src/macrocoh/data"
+MISSING = object()  # an edit's value that deletes the field
+# name -> (key path, new value) of an edited orbit file
+ORBIT_EDITS = {
+    "no_force_psd": (("thrusters", "force_psd_N_sqrtHz"), MISSING),
+    "no_spacecraft_mass": (("thrusters", "spacecraft_mass_kg"), MISSING),
+    "empty_thrusters": (("thrusters",), {}),
+    # the first claim lasts 10.0 s: both rows would be named '10s'
+    "colliding_claims": (("thrusters", "position_hold_claims", 1,
+                          "duration_s"), 10.0000001),
+}
 RANGES = (("1e-8", "5e-7"), ("1e-9", "1e-5"), ("1e-7", "1e60"),
           ("1e-110", "1e110"), ("1e-40", "1e-38"), ("1e-20", "1e20"),
           ("1e-120", "1e-7"), ("1e-7", "1e104"))
@@ -81,6 +98,8 @@ REPORTS = (
      "--cold-temperature", "30", "--out", "vacuum.csv"),
     ("mission-report", "--orbit", f"{DATA}/orbit_heo.yaml",
      "--budgets", f"{DATA}/budgets.yaml", "--out", "mission.csv"),
+    *(("mission-report", "--orbit", f"{TREE}/edited/{name}.yaml", "--out",
+       "mission.csv") for name in ORBIT_EDITS),
     # a log grid so narrow that 10 ** y of an inner point passes radius_max
     ("testability", "--radius-min", "1.0554981866069301e-07",
      "--radius-max", "1.0554981866071171e-07", "--points", "227",
@@ -101,6 +120,25 @@ def matrix():
              "--models", MODEL_SETS[-1], "--out", "sweep.csv")
             for preset in PRESETS for lo, hi in RANGES]
     return sweeps + deep + list(REPORTS)
+
+
+def write_edited(tree):
+    """Write each orbit of ORBIT_EDITS as <tree>/edited/<name>.yaml, dumped by
+    PyYAML, which writes floats as YAML 1.1 reads them back (json would write
+    5e-15, which YAML 1.1 reads as text)."""
+    folder = Path(tree, "edited")
+    folder.mkdir()
+    for name, (keys, value) in ORBIT_EDITS.items():
+        doc = json.loads(Path(tree, "src", "macrocoh", "data",
+                              "orbit_heo.yaml").read_text(encoding="utf-8"))
+        *parents, last = keys
+        node = reduce(getitem, parents, doc)
+        if value is MISSING:
+            del node[last]
+        else:
+            node[last] = value
+        Path(folder, f"{name}.yaml").write_text(
+            yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
 
 
 def normalize(record, folder, tree):
@@ -158,6 +196,7 @@ def main(argv=None):
         for side, commit in zip(("parent", "change"), args):
             tree = Path(tmp, side, "tree")
             export(commit, tree)
+            write_edited(tree)
             folders = [Path(tmp, side, "runs", str(i))
                        for i in range(len(commands))]
             records[side] = list(pool.map(run, [tree] * len(commands),
