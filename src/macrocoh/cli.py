@@ -5,12 +5,13 @@ Each imports the modules it needs when it runs, so building the parser loads
 none and the reports never load the sweep modules or numpy; `testability`
 loads numpy only for a sweep of more than `testability.SCALAR_CELLS` cells
 (radii x (1 + models)), which its default of 50 radii x 4 models is not.
-Each run writes one manifest, <first output>.manifest.json, naming all its
-outputs and the resolved inputs that produced them; timestamps live only in
-the manifest so repeated runs produce byte-identical data files.
+Each run checks every output path, then writes its outputs and a manifest,
+<first output>.manifest.json, naming them and the resolved inputs; only the
+manifest holds a timestamp, so repeated runs give byte-identical data files.
 
 Exit codes: 0 success, 1 computation failure or budget mismatch warning,
-2 input validation failure, such as a NaN or infinite float flag.
+2 input validation failure, such as a NaN or infinite float flag or two
+outputs that name one file.
 """
 
 import argparse
@@ -28,24 +29,9 @@ from . import __version__
 from .config import ConfigError, build, csv_text, number, pair, section
 
 
-def prepare_output(path):
-    """Make the folder of an output file; a ConfigError naming the file when
-    that fails or the file is a directory."""
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(
-            f"{path}: cannot make its folder: {exc.strerror}") from None
-    if path.is_dir():
-        raise ConfigError(f"{path}: is a directory")
-    return path
-
-
 def atomic_write_text(path, text):
     """Write via a temp file in the target directory plus rename; a failure
     is a ConfigError naming the output and leaves no temp file."""
-    path = prepare_output(path)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -59,16 +45,44 @@ def atomic_write_text(path, text):
             os.unlink(tmp)
 
 
-def write_manifest(command, inputs, outputs, parameters):
-    """Provenance sidecar <first output>.manifest.json naming every output
-    of the run and its resolved inputs."""
+def write_manifest(path, command, inputs, outputs, parameters):
+    """Provenance sidecar at `path` naming every output of the run and its
+    resolved inputs."""
     manifest = json.dumps(
         {"command": command, "tool_version": __version__,
          "created_utc": datetime.now(timezone.utc).isoformat(),
          "inputs": [str(p) for p in inputs],
          "outputs": [str(p) for p in outputs], "parameters": parameters},
         indent=2, sort_keys=True) + "\n"
-    atomic_write_text(str(outputs[0]) + ".manifest.json", manifest)
+    atomic_write_text(path, manifest)
+
+
+def write_outputs(command, inputs, outputs, parameters):
+    """Write each (path, text) of the list `outputs`, named by --out and
+    then --intervals-out (a dict would merge two equal paths), and then the
+    manifest <first output>.manifest.json.  Every path is checked first: two
+    that name one file, a folder that cannot be made or a directory in the
+    way is a ConfigError naming it, and nothing is written."""
+    paths = [Path(path) for path, _ in outputs]
+    paths.append(Path(f"{paths[0]}.manifest.json"))
+    names = [*("--out", "--intervals-out")[:len(outputs)], "the manifest of --out"]
+    named = {}  # by realpath, which unlike Path.resolve allows a symlink loop
+    for name, path in zip(names, paths, strict=True):
+        first = named.setdefault(os.path.realpath(path), name)
+        if first != name:
+            raise ConfigError(f"{path}: {first} and {name} name the same file")
+    for path in paths:
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"{path}: cannot make its folder: {exc.strerror}") from None
+        if path.is_dir():
+            raise ConfigError(f"{path}: is a directory")
+    for path, (_, text) in zip(paths, outputs):
+        atomic_write_text(path, text)
+    write_manifest(paths[-1], command, inputs, [p for p, _ in outputs],
+                   parameters)
 
 
 def _require_finite(args, *names):
@@ -79,6 +93,19 @@ def _require_finite(args, *names):
         if value is not None and not math.isfinite(value):
             flag = name.replace("_", "-")
             raise ConfigError(f"--{flag}: must be finite, got {value}")
+
+
+def _pick(flag, names, available):
+    """`names`, keys of `available` given once each; else a ConfigError
+    naming `flag` and the unknown names or the first one given twice."""
+    unknown = [n for n in names if n not in available]
+    if unknown:
+        raise ConfigError(
+            f"{flag}: unknown {unknown}; available: {sorted(available)}")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"{flag}: {name} given more than once")
+    return names
 
 
 def _resolve_scenario(args):
@@ -123,9 +150,9 @@ def cmd_decoherence_report(args):
         ("amplitude_factor_at_cet", amplitude, "1"),
         ("visibility_at_cet", visibility, "1"),
     ]
-    atomic_write_text(args.out, csv_text(("quantity", "value", "unit"), rows))
-    write_manifest("decoherence-report", [source], [args.out],
-                   {"scenario": source, "label": scenario.label})
+    write_outputs("decoherence-report", [source],
+                  [(args.out, csv_text(("quantity", "value", "unit"), rows))],
+                  {"scenario": source, "label": scenario.label})
     cet_text = "inf" if math.isinf(cet) else f"{cet:.4e} s"
     ced_text = "inf" if math.isinf(ced) else f"{ced:.4e} m"
     print(f"{scenario.label or source}: lambda_total="
@@ -134,42 +161,33 @@ def cmd_decoherence_report(args):
     return 0
 
 
-def _parse_models(spec_text, presets):
-    names = [name.strip() for name in spec_text.split(",") if name.strip()]
-    if not names:
-        raise ConfigError("--models: empty model list")
-    unknown = [n for n in names if n not in presets]
-    if unknown:
-        raise ConfigError(
-            f"--models: unknown {unknown}; available: {sorted(presets)}")
-    return [presets[n] for n in names]
-
-
 def cmd_testability(args):
     from . import testability
 
     _require_finite(args, "radius_min", "radius_max", "highlight_radius")
     scenario, source = _resolve_scenario(args)
-    models = _parse_models(args.models, testability.MODEL_PRESETS)
+    names = [name.strip() for name in args.models.split(",") if name.strip()]
+    if not names:
+        raise ConfigError("--models: empty model list")
+    presets = testability.MODEL_PRESETS
+    models = [presets[n] for n in _pick("--models", names, presets)]
     config = build(testability.SweepConfig,
                    "--radius-min, --radius-max, --points and --models",
                    radius_min=args.radius_min, radius_max=args.radius_max,
                    points=args.points, grid=args.grid, scenario=scenario,
                    models=tuple(models))
     table = testability.sweep(config)
-    names = [m.name for m in models]
     intervals = {name: testability.violation_intervals(table, name)
                  for name in names}
 
     intervals_out = args.intervals_out or str(args.out) + ".intervals.csv"
-    prepare_output(intervals_out)  # fails before the sweep CSV is written
-    atomic_write_text(args.out, testability.write_sweep_csv(table))
-    atomic_write_text(intervals_out, testability.write_intervals_csv(intervals))
-    write_manifest("testability", [source], [args.out, intervals_out],
-                   {"scenario": source, "radius_min": args.radius_min,
-                    "radius_max": args.radius_max, "points": args.points,
-                    "grid": args.grid, "models": names,
-                    "highlight_radius": args.highlight_radius})
+    write_outputs("testability", [source],
+                  [(args.out, testability.write_sweep_csv(table)),
+                   (intervals_out, testability.write_intervals_csv(intervals))],
+                  {"scenario": source, "radius_min": args.radius_min,
+                   "radius_max": args.radius_max, "points": args.points,
+                   "grid": args.grid, "models": names,
+                   "highlight_radius": args.highlight_radius})
 
     for name, spans in intervals.items():
         pretty = "; ".join(f"[{lo:.3e}, {hi:.3e}] m" for lo, hi in spans) or "none"
@@ -195,13 +213,7 @@ def cmd_vacuum_report(args):
     if args.time < 0.0:
         raise ConfigError("--time: must be non-negative")
     temperature, _, summaries, source = vacuum.load_materials(args.materials)
-    selected = list(summaries)
-    if args.material:
-        unknown = [n for n in args.material if n not in summaries]
-        if unknown:
-            raise ConfigError(
-                f"--material: unknown {unknown}; available: {sorted(summaries)}")
-        selected = list(args.material)
+    selected = _pick("--material", args.material or list(summaries), summaries)
 
     header = ["material", "mass_loss_rate_kg_s", "gamma0_per_m2_s",
               "pressure_mbar", "number_density_per_m3", "collision_rate_per_s",
@@ -247,13 +259,13 @@ def cmd_vacuum_report(args):
             cells += attenuation
         rows.append(cells)
 
-    atomic_write_text(args.out, csv_text(header, rows))
-    write_manifest("vacuum-report", [source], [args.out],
-                   {"sphere_radius": args.sphere_radius, "time": args.time,
-                    "materials": selected,
-                    "patch_diameter": args.patch_diameter,
-                    "distance": args.distance,
-                    "cold_temperature": args.cold_temperature})
+    write_outputs("vacuum-report", [source],
+                  [(args.out, csv_text(header, rows))],
+                  {"sphere_radius": args.sphere_radius, "time": args.time,
+                   "materials": selected,
+                   "patch_diameter": args.patch_diameter,
+                   "distance": args.distance,
+                   "cold_temperature": args.cold_temperature})
     print(f"wrote {args.out} ({len(selected)} materials)")
     return 0
 
@@ -330,10 +342,10 @@ def cmd_mission_report(args):
                 f" but declare {check.declared_total:g} {unit}"
                 f" (delta {check.delta:+g})")
 
-    atomic_write_text(args.out, csv_text(
-        ("quantity", "computed", "target", "unit"), rows))
-    write_manifest("mission-report", [source, budgets_source], [args.out],
-                   {"orbit": str(args.orbit), "budgets": str(args.budgets)})
+    write_outputs("mission-report", [source, budgets_source],
+                  [(args.out, csv_text(("quantity", "computed", "target", "unit"),
+                                       rows))],
+                  {"orbit": str(args.orbit), "budgets": str(args.budgets)})
 
     print(f"period {period / 86400.0:.2f} d, perigee gravity "
           f"{gravity.g_fraction:.3f} g"
@@ -437,6 +449,9 @@ def main(argv=None):
         return 2
     except ArithmeticError as exc:
         print(f"error: computation failed: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: computation failed: out of memory", file=sys.stderr)
         return 1
 
 

@@ -413,8 +413,7 @@ def test_testability_non_finite_radius_bound_exit_2(tmp_path, capsys, flag,
 
 @pytest.mark.parametrize("flags, message", [
     (("--radius-min", "1e-6"), "need 0 < radius_min < radius_max"),
-    (("--points", "1"), "a sweep needs at least 2 points"),
-    (("--models", "csl,csl"), "model names must be unique within a sweep")])
+    (("--points", "1"), "a sweep needs at least 2 points")])
 def test_testability_out_of_range_flag_exit_2_names_the_flags(
         tmp_path, capsys, flags, message):
     out = tmp_path / "sweep.csv"
@@ -441,6 +440,29 @@ def test_non_finite_float_flag_exit_2(tmp_path, capsys, command, flag, extra,
     assert capsys.readouterr().err == \
         f"error: {flag}: must be finite, got {value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, name", [
+    ("testability", ["--models", "csl,k,csl"], "--models: csl"),
+    ("vacuum-report", ["--material", "kapton", "--material", "cfrp",
+                       "--material", "kapton"], "--material: kapton")],
+    ids=["models", "material"])
+def test_repeated_name_exit_2_names_its_flag(tmp_path, capsys, command, flags,
+                                             name):
+    # a reader keyed by model or material would keep only one of the rows
+    assert main([command, *flags, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {name} given more than once\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_testability_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setattr("macrocoh.testability.radius_grid", exhausted)
+    assert main(["testability", "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "error: computation failed: out of memory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_testability_unknown_model_exit_2(tmp_path, capsys):
@@ -652,8 +674,7 @@ def test_output_under_a_file_exit_2(tmp_path, capsys, command):
     out = blocker / "sub" / "out.csv"
     assert main([command, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    # testability names its intervals file <out>.intervals.csv, made first
-    assert err.startswith(f"error: {out}") and "cannot make its folder" in err
+    assert err == f"error: {out}: cannot make its folder: Not a directory\n"
     assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
     assert blocker.read_text() == "not a folder\n"
 
@@ -669,6 +690,45 @@ def test_bad_intervals_path_writes_no_sweep(tmp_path, capsys, intervals):
         f"error: {tmp_path / intervals}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "folder"]
     assert list((tmp_path / "folder").iterdir()) == []
+
+
+@pytest.mark.parametrize("intervals, line", [
+    ("x.csv", "x.csv: --out and --intervals-out name the same file"),
+    ("./x.csv", "x.csv: --out and --intervals-out name the same file"),
+    ("sub/../x.csv", "sub/../x.csv: --out and --intervals-out name the same file"),
+    ("{tmp}/x.csv", "{tmp}/x.csv: --out and --intervals-out name the same file"),
+    ("x.csv.manifest.json",
+     "x.csv.manifest.json: --intervals-out and the manifest of --out "
+     "name the same file"),
+], ids=["same", "dot", "parent", "absolute", "manifest"])
+def test_colliding_outputs_exit_2_and_write_nothing(tmp_path, capsys,
+                                                    monkeypatch, intervals, line):
+    monkeypatch.chdir(tmp_path)
+    assert main(["testability", "--points", "4", "--out", "x.csv",
+                 "--intervals-out", intervals.format(tmp=tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {line.format(tmp=tmp_path)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_on_a_symlink_loop_replaces_the_link(tmp_path, capsys,
+                                                    monkeypatch):
+    # the rename replaces the link itself, so the run succeeds
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").symlink_to("x.csv")
+    assert main(["vacuum-report", "--out", "x.csv"]) == 0
+    assert capsys.readouterr().out == "wrote x.csv (3 materials)\n"
+    assert not (tmp_path / "x.csv").is_symlink()
+    assert len(read_rows(tmp_path / "x.csv")) == 3
+
+
+def test_manifest_path_that_is_a_directory_writes_no_csv(tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    assert main(["testability", "--points", "4", "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err == "error: x.csv.manifest.json: is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv.manifest.json"]
+    assert list((tmp_path / "x.csv.manifest.json").iterdir()) == []
 
 
 def test_output_that_is_a_directory_exit_2(tmp_path, capsys):

@@ -291,7 +291,8 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(radius_min=1e-8, radius_max=5e-7, points=5,
                     scenario=BASELINE, models=(), grid="cubic")
-    with pytest.raises(ValueError):
+    # the CLI rejects a repeated --models name itself; library callers get this
+    with pytest.raises(ValueError, match="model names must be unique"):
         SweepConfig(radius_min=1e-8, radius_max=5e-7, points=5,
                     scenario=BASELINE,
                     models=(MODEL_PRESETS["qg"], MODEL_PRESETS["qg"]))

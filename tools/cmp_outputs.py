@@ -63,6 +63,10 @@ REPORTS = (
     ("testability", "--out", "sweep.csv"),
     ("testability", "--out", "sweep.csv",
      "--intervals-out", "new/folder/intervals.csv"),
+    # outputs that name one file, or the manifest
+    ("testability", "--out", "sweep.csv", "--intervals-out", "./sweep.csv"),
+    ("testability", "--out", "sweep.csv",
+     "--intervals-out", "sweep.csv.manifest.json"),
     ("testability", "--radius-max", "inf", "--highlight-radius", "inf",
      "--out", "sweep.csv"),
     ("testability", "--highlight-radius", "nan", "--out", "sweep.csv"),
@@ -74,6 +78,8 @@ REPORTS = (
     ("testability", "--models", "csl,nope", "--out", "sweep.csv"),
     ("vacuum-report", "--material", "wood", "--out", "vacuum.csv"),
     ("vacuum-report", "--material", "kapton", "--material", "cfrp",
+     "--out", "vacuum.csv"),
+    ("vacuum-report", "--material", "kapton", "--material", "kapton",
      "--out", "vacuum.csv"),
     *(("vacuum-report", *flags, "--out", "vacuum.csv") for flags in (
         ("--patch-diameter=-1e-3", "--distance", "0.1"),
