@@ -5,9 +5,11 @@ Each imports the modules it needs when it runs, so building the parser loads
 none and the reports never load the sweep modules or numpy; `testability`
 loads numpy only for a sweep of more than `testability.SCALAR_CELLS` cells
 (radii x (1 + models)), which its default of 50 radii x 4 models is not.
-Each run checks every output path, then writes its outputs and a manifest,
-<first output>.manifest.json, naming them and the resolved inputs; only the
-manifest holds a timestamp, so repeated runs give byte-identical data files.
+Each run checks every output path (`testability` before its sweep), then
+writes its outputs and a manifest, <first output>.manifest.json, naming them
+and the resolved inputs; only the manifest holds a timestamp, so repeated
+runs give byte-identical data files.  Outputs take the mode the umask gives
+a new file.
 
 Exit codes: 0 success, 1 computation failure or budget mismatch warning,
 2 input validation failure, such as a NaN or infinite float flag or two
@@ -17,53 +19,76 @@ outputs that name one file.
 import argparse
 import functools
 import gc
+import itertools
 import json
 import math
 import os
 import sys
-import tempfile
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, build, csv_text, number, pair, section
 
+# a new file for writing only; os.open makes every descriptor non-inheritable
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+
+
+def _create_temp(path):
+    """(name, descriptor) of a new file beside `path`, under a name that no
+    other writer holds, with the umask's mode."""
+    for n in itertools.count():
+        name = f"{path}.{os.getpid()}.{n}.tmp"
+        try:
+            return name, os.open(name, _NEW_FILE, 0o666)
+        except FileExistsError:
+            continue
+
 
 def atomic_write_text(path, text):
-    """Write via a temp file in the target directory plus rename; a failure
-    is a ConfigError naming the output and leaves no temp file."""
+    """Write `text` as UTF-8 via a temp file in the target directory plus
+    rename; a failure is a ConfigError naming the output and leaves no temp
+    file."""
+    data = memoryview(text.encode("utf-8"))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        tmp, fd = _create_temp(path)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
+        tmp = None
     except OSError as exc:
         raise ConfigError(f"{path}: cannot write: {exc.strerror or exc}") from None
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        if tmp is not None:
             os.unlink(tmp)
 
 
 def write_manifest(path, command, inputs, outputs, parameters):
     """Provenance sidecar at `path` naming every output of the run and its
     resolved inputs."""
+    # ISO 8601 to the microsecond with +00:00, as datetime writes it, from
+    # the time module, which every process has loaded already
+    micros = time.time_ns() // 1000
+    created = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(micros // 10**6))
     manifest = json.dumps(
         {"command": command, "tool_version": __version__,
-         "created_utc": datetime.now(timezone.utc).isoformat(),
+         "created_utc": f"{created}.{micros % 10**6:06d}+00:00",
          "inputs": [str(p) for p in inputs],
          "outputs": [str(p) for p in outputs], "parameters": parameters},
         indent=2, sort_keys=True) + "\n"
     atomic_write_text(path, manifest)
 
 
-def write_outputs(command, inputs, outputs, parameters):
-    """Write each (path, text) of the list `outputs`, named by --out and
-    then --intervals-out (a dict would merge two equal paths), and then the
-    manifest <first output>.manifest.json.  Every path is checked first: two
-    that name one file, a folder that cannot be made or a directory in the
-    way is a ConfigError naming it, and nothing is written."""
-    paths = [Path(path) for path, _ in outputs]
+def check_outputs(outputs):
+    """Paths of the list `outputs`, named by --out and then --intervals-out,
+    followed by that of the manifest <first output>.manifest.json, each
+    checked and its folder made: two that name one file, a folder that
+    cannot be made or a directory in the way is a ConfigError naming it."""
+    paths = [Path(path) for path in outputs]
     paths.append(Path(f"{paths[0]}.manifest.json"))
     names = [*("--out", "--intervals-out")[:len(outputs)], "the manifest of --out"]
     named = {}  # by realpath, which unlike Path.resolve allows a symlink loop
@@ -71,18 +96,43 @@ def write_outputs(command, inputs, outputs, parameters):
         first = named.setdefault(os.path.realpath(path), name)
         if first != name:
             raise ConfigError(f"{path}: {first} and {name} name the same file")
+    made = set()
     for path in paths:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(
-                f"{path}: cannot make its folder: {exc.strerror}") from None
+        if path.parent not in made:
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(
+                    f"{path}: cannot make its folder: {exc.strerror}") from None
+            made.add(path.parent)
         if path.is_dir():
             raise ConfigError(f"{path}: is a directory")
-    for path, (_, text) in zip(paths, outputs):
+    return paths
+
+
+def write_outputs(command, inputs, paths, texts, parameters):
+    """Write each of `texts` to its path of `paths`, as check_outputs gave
+    them, and then the manifest, the last path, naming the others."""
+    outputs = paths[:-1]
+    for path, text in zip(outputs, texts, strict=True):
         atomic_write_text(path, text)
-    write_manifest(paths[-1], command, inputs, [p for p, _ in outputs],
-                   parameters)
+    write_manifest(paths[-1], command, inputs, outputs, parameters)
+
+
+def nearest_index(radii, target):
+    """min(range(len(radii)), key=lambda i: abs(radii[i] - target)), the
+    first of the radii nearest the finite `target`, found by bisection on
+    the non-decreasing list `radii`."""
+    from bisect import bisect_left
+
+    above = bisect_left(radii, target)
+    if above == 0:
+        return 0
+    below = target - radii[above - 1]  # the least distance below target
+    if above < len(radii) and radii[above] - target < below:
+        return above
+    # r - target is -(target - r) exactly, so the key rises on radii < target
+    return bisect_left(radii, -below, hi=above, key=lambda r: r - target)
 
 
 def _require_finite(args, *names):
@@ -150,8 +200,8 @@ def cmd_decoherence_report(args):
         ("amplitude_factor_at_cet", amplitude, "1"),
         ("visibility_at_cet", visibility, "1"),
     ]
-    write_outputs("decoherence-report", [source],
-                  [(args.out, csv_text(("quantity", "value", "unit"), rows))],
+    write_outputs("decoherence-report", [source], check_outputs([args.out]),
+                  [csv_text(("quantity", "value", "unit"), rows)],
                   {"scenario": source, "label": scenario.label})
     cet_text = "inf" if math.isinf(cet) else f"{cet:.4e} s"
     ced_text = "inf" if math.isinf(ced) else f"{ced:.4e} m"
@@ -176,14 +226,15 @@ def cmd_testability(args):
                    radius_min=args.radius_min, radius_max=args.radius_max,
                    points=args.points, grid=args.grid, scenario=scenario,
                    models=tuple(models))
+    intervals_out = args.intervals_out or str(args.out) + ".intervals.csv"
+    paths = check_outputs([args.out, intervals_out])  # before the sweep
     table = testability.sweep(config)
     intervals = {name: testability.violation_intervals(table, name)
                  for name in names}
 
-    intervals_out = args.intervals_out or str(args.out) + ".intervals.csv"
-    write_outputs("testability", [source],
-                  [(args.out, testability.write_sweep_csv(table)),
-                   (intervals_out, testability.write_intervals_csv(intervals))],
+    write_outputs("testability", [source], paths,
+                  [testability.write_sweep_csv(table),
+                   testability.write_intervals_csv(intervals)],
                   {"scenario": source, "radius_min": args.radius_min,
                    "radius_max": args.radius_max, "points": args.points,
                    "grid": args.grid, "models": names,
@@ -192,8 +243,7 @@ def cmd_testability(args):
     for name, spans in intervals.items():
         pretty = "; ".join(f"[{lo:.3e}, {hi:.3e}] m" for lo, hi in spans) or "none"
         print(f"{name}: violation intervals {pretty}")
-    nearest = table[min(range(len(table)), key=lambda i: abs(
-        table.radius[i] - args.highlight_radius))]
+    nearest = table[nearest_index(table.radius, args.highlight_radius)]
     marks = ", ".join(f"ced_{n}={nearest.ced_model[n]:.3e} m" for n in names)
     print(f"highlight r={nearest.radius:.3e} m: ced_qm={nearest.ced_qm:.3e} m, {marks}")
 
@@ -259,8 +309,8 @@ def cmd_vacuum_report(args):
             cells += attenuation
         rows.append(cells)
 
-    write_outputs("vacuum-report", [source],
-                  [(args.out, csv_text(header, rows))],
+    write_outputs("vacuum-report", [source], check_outputs([args.out]),
+                  [csv_text(header, rows)],
                   {"sphere_radius": args.sphere_radius, "time": args.time,
                    "materials": selected,
                    "patch_diameter": args.patch_diameter,
@@ -343,8 +393,8 @@ def cmd_mission_report(args):
                 f" (delta {check.delta:+g})")
 
     write_outputs("mission-report", [source, budgets_source],
-                  [(args.out, csv_text(("quantity", "computed", "target", "unit"),
-                                       rows))],
+                  check_outputs([args.out]),
+                  [csv_text(("quantity", "computed", "target", "unit"), rows)],
                   {"orbit": str(args.orbit), "budgets": str(args.budgets)})
 
     print(f"period {period / 86400.0:.2f} d, perigee gravity "

@@ -13,8 +13,10 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
-from macrocoh.cli import main
+from macrocoh.cli import main, nearest_index
 from macrocoh.config import replace
 from macrocoh.scenario import scenario_kinematics
 from macrocoh.testability import scenario_presets
@@ -737,7 +739,7 @@ def test_output_that_is_a_directory_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("target", ["tempfile.mkstemp", "os.replace"])
+@pytest.mark.parametrize("target", ["os.open", "os.write", "os.replace"])
 def test_failed_write_names_the_output_and_leaves_no_temp_file(
         tmp_path, capsys, monkeypatch, target):
     def refuse(*args, **kwargs):
@@ -751,6 +753,62 @@ def test_failed_write_names_the_output_and_leaves_no_temp_file(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_skips_a_temp_name_already_taken(tmp_path):
+    # a temp file left by an earlier process of the same pid stays as it is
+    out = tmp_path / "vac.csv"
+    stale = tmp_path / f"vac.csv.{os.getpid()}.0.tmp"
+    stale.write_text("stale\n")
+    assert main(["vacuum-report", "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
+        "vac.csv", "vac.csv.manifest.json", stale.name])
+    assert stale.read_text() == "stale\n"
+    assert len(read_rows(out)) == 3
+
+
+def test_colliding_outputs_exit_2_before_the_sweep(tmp_path, capsys,
+                                                  monkeypatch):
+    def never(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("macrocoh.testability.sweep", never)
+    monkeypatch.chdir(tmp_path)
+    assert main(["testability", "--points", "200000", "--models", "csl",
+                 "--out", "x.csv", "--intervals-out", "x.csv"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: x.csv: --out and --intervals-out name the same file\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["decoherence-report", "testability",
+                                     "vacuum-report", "mission-report"])
+def test_outputs_take_the_umask_mode(tmp_path, command):
+    out = tmp_path / "out.csv"
+    umask = os.umask(0o022)
+    try:
+        assert main([command, "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    written = sorted(tmp_path.iterdir())
+    assert len(written) == (3 if command == "testability" else 2)
+    for path in written:
+        assert path.stat().st_mode & 0o777 == 0o644, path.name
+
+
+def test_manifest_time_is_iso_8601_utc(tmp_path):
+    from datetime import datetime, timedelta, timezone
+
+    out = tmp_path / "vac.csv"
+    before = datetime.now(timezone.utc)
+    assert main(["vacuum-report", "--out", str(out)]) == 0
+    after = datetime.now(timezone.utc)
+    text = json.loads(Path(f"{out}.manifest.json").read_text())["created_utc"]
+    assert re.fullmatch(
+        r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", text), text
+    created = datetime.fromisoformat(text)
+    assert created.utcoffset() == timedelta(0)
+    assert before - timedelta(seconds=1) <= created <= after
+
+
 # ------------------------------------------------------ highlight row
 
 def test_testability_highlight_tie_echoes_the_lower_radius(tmp_path, capsys):
@@ -762,6 +820,54 @@ def test_testability_highlight_tie_echoes_the_lower_radius(tmp_path, capsys):
     radii = [float(row["radius_m"]) for row in read_rows(out)]
     assert 1.5e-7 - radii[0] == radii[1] - 1.5e-7
     assert f"highlight r={radii[0]:.3e} m:" in capsys.readouterr().out
+
+
+def _min_choice(radii, target):
+    # the row a linear scan picks: the first of the equally near radii
+    return min(range(len(radii)), key=lambda i: abs(radii[i] - target))
+
+
+# a narrow log grid whose clamped ends repeat its first and its last radius
+NARROW = ["--radius-min", "1.0554981866069301e-07", "--radius-max",
+          "1.0554981866071171e-07", "--points", "227"]
+
+
+@pytest.mark.parametrize("flags, target", [
+    ([], "1e-9"),
+    ([], "1e-6"),
+    (["--grid", "linear", "--points", "3", "--radius-min", "1e-7",
+      "--radius-max", "3e-7"], "1.5e-7"),
+    (NARROW, "1.0554981866069301e-07"),
+    (NARROW, "1.0554981866069312e-07"),
+    (NARROW, "1.0554981866071171e-07"),
+    (NARROW, "1.0554981866071180e-07"),
+], ids=["below", "above", "tie", "narrow-min", "narrow-halfway", "narrow-max",
+        "narrow-above"])
+def test_highlight_row_is_the_nearest_radius_first_of_ties(tmp_path, capsys,
+                                                           flags, target):
+    out = tmp_path / "sweep.csv"
+    assert main(["testability", *flags, "--models", "csl",
+                 "--highlight-radius", target, "--out", str(out)]) == 0
+    rows = read_rows(out)
+    radii = [float(row["radius_m"]) for row in rows]
+    index = _min_choice(radii, float(target))
+    assert nearest_index(radii, float(target)) == index
+    if flags is NARROW:
+        assert radii[0] == radii[1] and radii[-2] == radii[-1]
+    row = rows[index]
+    assert (f"highlight r={radii[index]:.3e} m: "
+            f"ced_qm={float(row['ced_qm_m']):.3e} m, "
+            f"ced_csl={float(row['ced_csl_m']):.3e} m\n"
+            ) in capsys.readouterr().out
+
+
+@given(st.lists(st.sampled_from([1e-300, 2e-300, 1e-7, 1.5e-7, 2e-7, 3e-7,
+                                 1e300, 1.7e308]) | st.floats(1e-300, 1e300),
+                min_size=1),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_nearest_index_is_the_linear_scan_choice(radii, target):
+    radii.sort()
+    assert nearest_index(radii, target) == _min_choice(radii, target)
 
 
 # ------------------------------------------- repeated in-process calls

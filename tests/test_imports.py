@@ -46,16 +46,16 @@ DOMAIN_MODULES = SWEEP_MODULES | {"mission", "vacuum", "decoherence",
                                   "expansion"}
 
 
-def loaded_after(script, tmp_path):
+def loaded_after(script, tmp_path, *flags):
     """(macrocoh submodules, other top-level packages) loaded once `script`
-    has run in a fresh interpreter."""
+    has run in a fresh interpreter started with `flags`."""
     probe = script + """
 import json, sys
 print(json.dumps(sorted(sys.modules)))
 """
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=120, cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    proc = subprocess.run([sys.executable, *flags, "-c", probe],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
     names = json.loads(proc.stdout.splitlines()[-1])
     own = {n.split(".", 1)[1] for n in names if n.startswith("macrocoh.")}
@@ -216,6 +216,17 @@ def test_bad_field_exit_2_names_the_field(tmp_path, capsys, monkeypatch,
                  "--out", str(tmp_path / "m.csv")]) == 2
     assert (f"{budgets}.mass_budgets.dry.declared_total: expected a number, "
             "got 'oops'") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script", [
+    "import macrocoh.cli\n",
+    run_command(["vacuum-report", "--out", "report.csv"])],
+    ids=["import", "vacuum-report"])
+def test_cli_loads_neither_datetime_nor_tempfile(tmp_path, script):
+    # -S: no site module, so no .pth file loads either module beforehand
+    own, packages = loaded_after(script, tmp_path, "-S")
+    assert "cli" in own
+    assert packages.isdisjoint({"datetime", "_datetime", "tempfile"})
 
 
 @pytest.mark.parametrize("command", [

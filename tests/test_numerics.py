@@ -1,5 +1,8 @@
 """Elementwise helpers of `numerics` on columns of every composition."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -79,3 +82,36 @@ def test_a_scalar_overflow_names_the_operation():
     with pytest.raises(OverflowError, match=r"^exp\(1000\) overflows a float$"):
         exp(1000.0)
     assert power(3.0, 2) == 9.0 and exp(0.0) == 1.0
+
+
+# bases at the edges of the float range, and the exponents the laws raise to
+EDGE_BASES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+              1e-7, 0.5, 1.0, 2.0, 1.7e3, 1e154, 1e300, 1.7976931348623157e308,
+              math.inf, -math.inf, math.nan, -0.5, -1.0, -2.0, -8.0, -1e300]
+EDGE_EXPONENTS = [2, 3, 4, 6, 2.0 / 3.0, 1.0 / 3.0, 0.5, -1]
+
+
+def _scalar_power(x, exponent):
+    # the float power(x, exponent), or None where it raises or is complex
+    try:
+        value = power(x, exponent)
+    except ArithmeticError:
+        return None
+    return value if type(value) is float else None
+
+
+@pytest.mark.parametrize("exponent", EDGE_EXPONENTS)
+def test_column_power_is_the_scalar_power_bit_for_bit(exponent):
+    # a list, not a dict: 0.0 and -0.0 are equal keys
+    expected = [(x, _scalar_power(x, exponent)) for x in EDGE_BASES]
+    for x, value in expected:
+        if value is None:
+            with pytest.raises((ArithmeticError, ValueError)):
+                power(np.array([1.0, x]), exponent)
+        else:
+            column, = power(np.array([x]), exponent).tolist()
+            assert struct.pack("<d", column) == struct.pack("<d", value), x
+    bases, values = zip(*((x, v) for x, v in expected if v is not None))
+    column = power(np.array(bases), exponent).tolist()
+    assert (struct.pack(f"<{len(bases)}d", *column)
+            == struct.pack(f"<{len(bases)}d", *values))
