@@ -12,15 +12,15 @@ numpy does only + - * / and sqrt, which IEEE 754 rounds correctly and which
 therefore match Python's float arithmetic exactly; every other function
 (`power`, `exp`, `hypot`) goes through libm element by element,
 because numpy's SIMD versions differ from libm in the last bit for a few per
-cent of inputs.  A column's `power` calls `math.pow` with the exponent made a float once,
-not the builtin `pow`: both hand finite floats to C `pow`, so the bits are
-those of `**`, but `math.pow` skips the generic number dispatch, and an int
-exponent is not converted again for every element.  It raises where `**`
-raises, and also where `**` would give a complex number (a negative base to
-a fractional exponent), which a float column cannot hold anyway.  Branches go through
-`piecewise`, which runs each branch only on its own elements, as an if/else
-would.  numpy is imported only when a column is passed, so scalar callers
-never load it.
+cent of inputs.  A column's `power` calls `math.pow` with the exponent made
+a float once, not the builtin `pow`: both hand finite floats to C `pow`, so
+the bits are those of `**`, but `math.pow` skips the generic number
+dispatch, and an int exponent is not converted again for every element.  It
+raises where `**` raises, and also where `**` would give a complex number (a
+negative base to a fractional exponent), which a float column cannot hold
+anyway.  Branches go through `piecewise`, which runs each branch only on its
+own elements, as an if/else would.  numpy is imported only when a column is
+passed, so scalar callers never load it.
 """
 
 import math
