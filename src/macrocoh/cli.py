@@ -5,11 +5,13 @@ Each imports the modules it needs when it runs, so building the parser loads
 none and the reports never load the sweep modules or numpy; `testability`
 loads numpy only for a sweep of more than `testability.SCALAR_CELLS` cells
 (radii x (1 + models)), which its default of 50 radii x 4 models is not.
-Each run checks every output path (`testability` before its sweep), then
-writes its outputs and a manifest, <first output>.manifest.json, naming them
-and the resolved inputs; only the manifest holds a timestamp, so repeated
-runs give byte-identical data files.  Outputs take the mode the umask gives
-a new file.
+`main` runs every command in one order: it checks the float flags, then
+every output path, before any input is read; the command reads its inputs
+and computes the texts of its outputs; `main` makes their folders, writes
+them and last a manifest, <first output>.manifest.json, naming them and the
+resolved inputs, and then prints.  Only the manifest holds a timestamp, so
+repeated runs give byte-identical data files.  Outputs take the mode the
+umask gives a new file.
 
 Exit codes: 0 success, 1 computation failure or budget mismatch warning,
 2 input validation failure, such as a NaN or infinite float flag or two
@@ -28,7 +30,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, build, csv_text, number, pair, section
+from .config import ConfigError, build, csv_text, number, pair, record, section
 
 # a new file for writing only; os.open makes every descriptor non-inheritable
 _NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
@@ -85,38 +87,39 @@ def write_manifest(path, command, inputs, outputs, parameters):
 
 def check_outputs(outputs):
     """Paths of the list `outputs`, named by --out and then --intervals-out,
-    followed by that of the manifest <first output>.manifest.json, each
-    checked and its folder made: two that name one file, a folder that
-    cannot be made or a directory in the way is a ConfigError naming it."""
-    paths = [Path(path) for path in outputs]
-    paths.append(Path(f"{paths[0]}.manifest.json"))
+    followed by that of the manifest <first output>.manifest.json: two that
+    name one file or a directory in the way is a ConfigError naming it."""
+    paths = [*outputs, Path(f"{outputs[0]}.manifest.json")]
     names = [*("--out", "--intervals-out")[:len(outputs)], "the manifest of --out"]
     named = {}  # by realpath, which unlike Path.resolve allows a symlink loop
     for name, path in zip(names, paths, strict=True):
         first = named.setdefault(os.path.realpath(path), name)
         if first != name:
             raise ConfigError(f"{path}: {first} and {name} name the same file")
-    made = set()
     for path in paths:
-        if path.parent not in made:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise ConfigError(
-                    f"{path}: cannot make its folder: {exc.strerror}") from None
-            made.add(path.parent)
         if path.is_dir():
             raise ConfigError(f"{path}: is a directory")
     return paths
 
 
-def write_outputs(command, inputs, paths, texts, parameters):
-    """Write each of `texts` to its path of `paths`, as check_outputs gave
-    them, and then the manifest, the last path, naming the others."""
-    outputs = paths[:-1]
-    for path, text in zip(outputs, texts, strict=True):
-        atomic_write_text(path, text)
-    write_manifest(paths[-1], command, inputs, outputs, parameters)
+def _outputs(args):
+    """The outputs of a run: --out, then testability's --intervals-out, by
+    default <out>.intervals.csv."""
+    if "intervals_out" not in vars(args):
+        return [args.out]
+    return [args.out, args.intervals_out or Path(f"{args.out}.intervals.csv")]
+
+
+@record
+class Run:
+    """What a command gives `main`: its input sources, the text of each of
+    _outputs, the manifest parameters, stdout lines, warnings, exit status."""
+    inputs: list
+    texts: list
+    parameters: dict
+    stdout: list
+    warnings: list = ()
+    status: int = 0
 
 
 def nearest_index(radii, target):
@@ -133,16 +136,6 @@ def nearest_index(radii, target):
         return above
     # r - target is -(target - r) exactly, so the key rises on radii < target
     return bisect_left(radii, -below, hi=above, key=lambda r: r - target)
-
-
-def _require_finite(args, *names):
-    """A ConfigError naming the first float flag of `names` given as NaN or
-    infinite; an optional flag left out (None) passes."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            flag = name.replace("_", "-")
-            raise ConfigError(f"--{flag}: must be finite, got {value}")
 
 
 def _pick(flag, names, available):
@@ -200,21 +193,17 @@ def cmd_decoherence_report(args):
         ("amplitude_factor_at_cet", amplitude, "1"),
         ("visibility_at_cet", visibility, "1"),
     ]
-    write_outputs("decoherence-report", [source], check_outputs([args.out]),
-                  [csv_text(("quantity", "value", "unit"), rows)],
-                  {"scenario": source, "label": scenario.label})
     cet_text = "inf" if math.isinf(cet) else f"{cet:.4e} s"
     ced_text = "inf" if math.isinf(ced) else f"{ced:.4e} m"
-    print(f"{scenario.label or source}: lambda_total="
-          f"{rates.total_lambda:.4e} 1/(m^2 s), cet={cet_text}, ced={ced_text}")
-    print(f"wrote {args.out}")
-    return 0
+    return Run([source], [csv_text(("quantity", "value", "unit"), rows)],
+               {"scenario": source, "label": scenario.label},
+               [f"{scenario.label or source}: lambda_total={rates.total_lambda:.4e}"
+                f" 1/(m^2 s), cet={cet_text}, ced={ced_text}", f"wrote {args.out}"])
 
 
 def cmd_testability(args):
     from . import testability
 
-    _require_finite(args, "radius_min", "radius_max", "highlight_radius")
     scenario, source = _resolve_scenario(args)
     names = [name.strip() for name in args.models.split(",") if name.strip()]
     if not names:
@@ -226,40 +215,32 @@ def cmd_testability(args):
                    radius_min=args.radius_min, radius_max=args.radius_max,
                    points=args.points, grid=args.grid, scenario=scenario,
                    models=tuple(models))
-    intervals_out = args.intervals_out or str(args.out) + ".intervals.csv"
-    paths = check_outputs([args.out, intervals_out])  # before the sweep
     table = testability.sweep(config)
     intervals = {name: testability.violation_intervals(table, name)
                  for name in names}
 
-    write_outputs("testability", [source], paths,
-                  [testability.write_sweep_csv(table),
-                   testability.write_intervals_csv(intervals)],
-                  {"scenario": source, "radius_min": args.radius_min,
-                   "radius_max": args.radius_max, "points": args.points,
-                   "grid": args.grid, "models": names,
-                   "highlight_radius": args.highlight_radius})
-
-    for name, spans in intervals.items():
-        pretty = "; ".join(f"[{lo:.3e}, {hi:.3e}] m" for lo, hi in spans) or "none"
-        print(f"{name}: violation intervals {pretty}")
+    stdout = [f"{name}: violation intervals " + ("; ".join(
+        f"[{lo:.3e}, {hi:.3e}] m" for lo, hi in spans) or "none")
+        for name, spans in intervals.items()]
     nearest = table[nearest_index(table.radius, args.highlight_radius)]
     marks = ", ".join(f"ced_{n}={nearest.ced_model[n]:.3e} m" for n in names)
-    print(f"highlight r={nearest.radius:.3e} m: ced_qm={nearest.ced_qm:.3e} m, {marks}")
-
-    for i, errors in table.errors.items():
-        print(f"warning: r={table.radius[i]:.3e} m: {errors}", file=sys.stderr)
-    print(f"wrote {args.out} and {intervals_out}")
-    if table.errors and len(table.errors) == len(table):
-        return 1
-    return 0
+    stdout += [f"highlight r={nearest.radius:.3e} m: "
+               f"ced_qm={nearest.ced_qm:.3e} m, {marks}",
+               "wrote {} and {}".format(*_outputs(args))]
+    return Run([source], [testability.write_sweep_csv(table),
+                          testability.write_intervals_csv(intervals)],
+               {"scenario": source, "radius_min": args.radius_min,
+                "radius_max": args.radius_max, "points": args.points,
+                "grid": args.grid, "models": names,
+                "highlight_radius": args.highlight_radius}, stdout,
+               [f"r={table.radius[i]:.3e} m: {errors}"
+                for i, errors in table.errors.items()],
+               int(0 < len(table.errors) == len(table)))
 
 
 def cmd_vacuum_report(args):
     from . import vacuum
 
-    _require_finite(args, "sphere_radius", "time", "patch_diameter",
-                    "distance", "cold_temperature")
     if args.time < 0.0:
         raise ConfigError("--time: must be non-negative")
     temperature, _, summaries, source = vacuum.load_materials(args.materials)
@@ -309,15 +290,12 @@ def cmd_vacuum_report(args):
             cells += attenuation
         rows.append(cells)
 
-    write_outputs("vacuum-report", [source], check_outputs([args.out]),
-                  [csv_text(header, rows)],
-                  {"sphere_radius": args.sphere_radius, "time": args.time,
-                   "materials": selected,
-                   "patch_diameter": args.patch_diameter,
-                   "distance": args.distance,
-                   "cold_temperature": args.cold_temperature})
-    print(f"wrote {args.out} ({len(selected)} materials)")
-    return 0
+    return Run([source], [csv_text(header, rows)],
+               {"sphere_radius": args.sphere_radius, "time": args.time,
+                "materials": selected, "patch_diameter": args.patch_diameter,
+                "distance": args.distance,
+                "cold_temperature": args.cold_temperature},
+               [f"wrote {args.out} ({len(selected)} materials)"])
 
 
 def cmd_mission_report(args):
@@ -392,18 +370,13 @@ def cmd_mission_report(args):
                 f" but declare {check.declared_total:g} {unit}"
                 f" (delta {check.delta:+g})")
 
-    write_outputs("mission-report", [source, budgets_source],
-                  check_outputs([args.out]),
-                  [csv_text(("quantity", "computed", "target", "unit"), rows)],
-                  {"orbit": str(args.orbit), "budgets": str(args.budgets)})
-
-    print(f"period {period / 86400.0:.2f} d, perigee gravity "
-          f"{gravity.g_fraction:.3f} g"
-          + (f", window {window / 60.0:.1f} min" if window is not None else ""))
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    print(f"wrote {args.out}")
-    return 1 if warnings else 0
+    window_text = "" if window is None else f", window {window / 60.0:.1f} min"
+    return Run([source, budgets_source],
+               [csv_text(("quantity", "computed", "target", "unit"), rows)],
+               {"orbit": str(args.orbit), "budgets": str(args.budgets)},
+               [f"period {period / 86400.0:.2f} d, perigee gravity "
+                f"{gravity.g_fraction:.3f} g{window_text}", f"wrote {args.out}"],
+               warnings, int(bool(warnings)))
 
 
 # ---------------------------------------------------------------- parser
@@ -488,9 +461,34 @@ def _parser():
 
 
 def main(argv=None):
+    """Run the command of `argv` in the order of the module docstring and
+    return its exit status."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        for name, value in vars(args).items():  # the flags, in parser order
+            if isinstance(value, float) and not math.isfinite(value):
+                flag = name.replace("_", "-")
+                raise ConfigError(f"--{flag}: must be finite, got {value}")
+        paths = check_outputs(_outputs(args))  # before any input is read
+        run = args.func(args)
+        made = set()
+        for path in paths:
+            if path.parent not in made:
+                try:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                except OSError as exc:
+                    raise ConfigError(
+                        f"{path}: cannot make its folder: {exc.strerror}") from None
+                made.add(path.parent)
+        for path, text in zip(paths[:-1], run.texts, strict=True):
+            atomic_write_text(path, text)
+        write_manifest(paths[-1], args.command, run.inputs, paths[:-1],
+                       run.parameters)
+        for line in run.stdout:
+            print(line)
+        for warning in run.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        return run.status
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

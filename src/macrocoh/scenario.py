@@ -7,7 +7,7 @@ the free-evolution width is sigma(t) = sqrt(x0^2 + v_m^2 t^2).
 """
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import config
 from .constants import CONSTANTS
@@ -211,6 +211,7 @@ PRESET_FILES = {
 }
 
 
+@cache  # the packaged file cannot change, and the records are frozen
 def load_preset(name):
     """One named scenario shipped with the package."""
     if name not in PRESET_FILES:

@@ -1,5 +1,6 @@
 """Command-line interface: reports, determinism, exit codes."""
 
+import argparse
 import csv
 import gc
 import json
@@ -16,7 +17,8 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
-from macrocoh.cli import main, nearest_index
+from macrocoh import cli
+from macrocoh.cli import build_parser, main, nearest_index
 from macrocoh.config import replace
 from macrocoh.scenario import scenario_kinematics
 from macrocoh.testability import scenario_presets
@@ -444,6 +446,36 @@ def test_non_finite_float_flag_exit_2(tmp_path, capsys, command, flag, extra,
     assert not out.exists()
 
 
+def _float_flags():
+    """(command, flag) of every float flag of the parser, in its order."""
+    commands, = (action.choices for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, parser in commands.items()
+            for action in parser._actions if action.type is float]
+
+
+def test_float_flags_are_those_of_the_parser():
+    assert _float_flags() == [
+        ("testability", "--radius-min"), ("testability", "--radius-max"),
+        ("testability", "--highlight-radius"),
+        ("vacuum-report", "--sphere-radius"), ("vacuum-report", "--time"),
+        ("vacuum-report", "--patch-diameter"), ("vacuum-report", "--distance"),
+        ("vacuum-report", "--cold-temperature")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", _float_flags())
+def test_every_float_flag_must_be_finite(tmp_path, capsys, command, flag,
+                                         value):
+    # checked before any other flag and before the output paths: no companion
+    # flag is needed, and --out naming a folder is not reached
+    assert main([command, f"{flag}={value}", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {flag}: must be finite, got {value}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, flags, name", [
     ("testability", ["--models", "csl,k,csl"], "--models: csl"),
     ("vacuum-report", ["--material", "kapton", "--material", "cfrp",
@@ -779,6 +811,104 @@ def test_colliding_outputs_exit_2_before_the_sweep(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+# ------------------------------------------------------ the run skeleton
+
+SKELETON_RUNS = [["decoherence-report"], ["testability", "--points", "4"],
+                 ["vacuum-report", "--patch-diameter", "1e-3", "--distance",
+                  "0.1"], ["mission-report"]]
+
+
+@pytest.mark.parametrize("argv", SKELETON_RUNS, ids=lambda argv: argv[0])
+def test_command_returns_what_main_writes_and_touches_no_file(
+        tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command touched a file")
+
+    out = tmp_path / "run" / "out.csv"
+    args = build_parser().parse_args([*argv, "--out", str(out)])
+    with monkeypatch.context() as patch:
+        for name in ("open", "mkdir", "replace"):
+            patch.setattr(os, name, refuse)
+        run = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
+
+    assert main([*argv, "--out", str(out)]) == run.status == 0
+    assert [path.read_text(encoding="utf-8")
+            for path in cli._outputs(args)] == run.texts
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert (manifest["inputs"], manifest["parameters"]) == (run.inputs,
+                                                            run.parameters)
+    assert capsys.readouterr() == (
+        "".join(f"{line}\n" for line in run.stdout),
+        "".join(f"warning: {warning}\n" for warning in run.warnings))
+
+
+def test_command_warnings_and_status_reach_stderr_and_the_exit_code(
+        tmp_path, capsys):
+    budgets = tmp_path / "budgets.yaml"
+    budgets.write_text("mass_budgets:\n  broken:\n    unit: kg\n"
+                       "    items: {a: 1.0}\n    declared_total: 2.0\n"
+                       "power_budgets: {}\n")
+    argv = ["mission-report", "--budgets", str(budgets),
+            "--out", str(tmp_path / "m.csv")]
+    run = cli.cmd_mission_report(build_parser().parse_args(argv))
+    assert (run.warnings, run.status) == (
+        ["budget broken: line items sum to 1 kg but declare 2 kg (delta -1)"], 1)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"warning: {run.warnings[0]}\n"
+
+
+@pytest.mark.parametrize("out", ["x.csv", "new/deeper/x.csv"])
+def test_failed_run_leaves_no_output_folder(tmp_path, capsys, monkeypatch,
+                                            out):
+    # the folders are made after the command, so a run that fails in it
+    # leaves nothing behind, however deep its outputs
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setattr("macrocoh.testability.radius_grid", exhausted)
+    assert main(["testability", "--out", str(tmp_path / out)]) == 1
+    assert main(["decoherence-report", "--preset", "nope",
+                 "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: computation failed: out of memory\n"
+        "error: --preset: unknown preset 'nope'; available: "
+        "['fig2_baseline', 'fig3_left', 'fig3_right']\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["decoherence-report", "--preset", "nope"],
+    ["testability", "--models", "nope"],
+    ["vacuum-report", "--time", "-1"],
+    ["mission-report", "--orbit", "missing.yaml"]], ids=lambda argv: argv[0])
+def test_output_error_comes_before_any_input_error(tmp_path, capsys,
+                                                   monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "."]) == 2
+    assert capsys.readouterr().err == "error: .: is a directory\n"
+    if argv[0] == "testability":
+        assert main([*argv, "--out", "x.csv", "--intervals-out", "x.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "error: x.csv: --out and --intervals-out name the same file\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_preset_is_loaded_once_and_an_unknown_one_fails_each_time(
+        tmp_path, capsys):
+    from macrocoh.scenario import load_preset
+
+    assert load_preset("fig3_right") is load_preset("fig3_right")
+    for _ in range(2):
+        assert main(["testability", "--preset", "nope",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --preset: unknown preset 'nope'; available: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+
 @pytest.mark.parametrize("command", ["decoherence-report", "testability",
                                      "vacuum-report", "mission-report"])
 def test_outputs_take_the_umask_mode(tmp_path, command):
@@ -907,8 +1037,6 @@ def test_repeated_in_process_calls_match_fresh_processes(tmp_path, capsys,
                                                          monkeypatch):
     # one parser serves every main() call of a process; --help and a usage
     # error in between must leave it as a fresh process builds it
-    from macrocoh import cli
-
     env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     fresh = tmp_path / "fresh"
     fresh.mkdir()
@@ -949,8 +1077,6 @@ def test_main_leaves_the_gc_unfrozen(tmp_path):
 
 
 def test_entrypoint_freezes_the_gc_before_exit(tmp_path, monkeypatch):
-    from macrocoh import cli
-
     monkeypatch.setattr(sys, "argv", ["macrocoh", "vacuum-report", "--out",
                                       str(tmp_path / "v.csv")])
     try:

@@ -20,8 +20,10 @@ spec.loader.exec_module(cmp_outputs)
 MANIFEST = '{\n  "created_utc": "%s",\n  "outputs": [\n    "%s/sweep.csv"\n  ]\n}\n'
 
 
-def record(exit=0, stdout="wrote sweep.csv\n", stderr="", files=None):
+def record(exit=0, stdout="wrote sweep.csv\n", stderr="", files=None,
+           folders=()):
     return {"exit": exit, "stdout": stdout, "stderr": stderr,
+            "folders": list(folders),
             "files": {"sweep.csv": "radius_m\n1e-08\n"} if files is None
             else files}
 
@@ -29,7 +31,7 @@ def record(exit=0, stdout="wrote sweep.csv\n", stderr="", files=None):
 def test_matrix_covers_every_sweep_and_report_once():
     commands = cmp_outputs.matrix()
     assert len(commands) == (3 * 8 * 2 * 3 * 3 + 3 * 8
-                             + len(cmp_outputs.REPORTS)) == 499
+                             + len(cmp_outputs.REPORTS)) == 502
     assert len(set(commands)) == len(commands)
     assert commands[0] == (
         "testability", "--preset", "fig2_baseline", "--radius-min", "1e-8",
@@ -93,11 +95,25 @@ def test_differing_runs_grouped_by_the_parents_exit_and_last_stderr_line():
                      files={}, stdout="")
     parent = [record(), aborted, aborted, record(), record(stderr="w\n")]
     change = [record(), record(), record(exit=1), record(files={}),
-              record(stderr="w\n")]
+              record(stderr="w\n", folders=["new"])]
     groups = cmp_outputs.differing(commands, parent, change)
     assert groups == {
         (2, "error: invalid input: mass"): [("testability 1", change[1]),
                                             ("testability 2", change[2])],
         (0, ""): [("testability 3", change[3])],
+        (0, "w"): [("testability 4", change[4])],
     }
     assert cmp_outputs.differing(commands, parent, parent) == {}
+
+
+def test_a_run_records_the_folders_it_made_as_well_as_its_files(tmp_path):
+    tree = Path(__file__).resolve().parents[1]
+    made = cmp_outputs.run(tree, ("vacuum-report", "--out", "new/deeper/v.csv"),
+                           tmp_path / "made")
+    assert made["exit"] == 0
+    assert made["folders"] == ["new", "new/deeper"]
+    assert sorted(made["files"]) == ["new/deeper/v.csv",
+                                     "new/deeper/v.csv.manifest.json"]
+    failed = cmp_outputs.run(tree, ("decoherence-report", "--preset", "nope",
+                                    "--out", "new/deco.csv"), tmp_path / "failed")
+    assert (failed["exit"], failed["folders"], failed["files"]) == (2, [], {})

@@ -6,9 +6,10 @@ the runs whose outputs differ.
 Each commit is exported with `export` from tools/bench_pairs.py into its own
 temporary directory.  Every invocation of the matrix runs there as a fresh
 `python -m macrocoh.cli` process, with the tree's src/ on PYTHONPATH, in an
-empty folder of its own.  A run's record is its exit code, stdout, stderr and
-the text of every file it wrote (CSVs and manifests), with each manifest's
-`created_utc`, the run folder and the tree blanked.
+empty folder of its own.  A run's record is its exit code, stdout, stderr,
+every folder it made and the text of every file it wrote (CSVs and
+manifests), with each manifest's `created_utc`, the run folder and the tree
+blanked.
 
 The matrix is 3 presets x 8 radius ranges x log/linear grids x 2/7/301
 points x 3 model sets of `testability`, then 3 presets x 8 radius ranges of
@@ -110,6 +111,12 @@ REPORTS = (
     ("testability", "--radius-min", "1.0554981866069301e-07",
      "--radius-max", "1.0554981866071171e-07", "--points", "227",
      "--out", "sweep.csv"),
+    # a bad input and a bad output path in one run; a run that fails leaves
+    # no folder
+    ("vacuum-report", "--time", "-1", "--out", "."),
+    ("testability", "--models", "nope", "--out", "x.csv",
+     "--intervals-out", "x.csv"),
+    ("decoherence-report", "--preset", "nope", "--out", "new/deco.csv"),
 )
 CREATED = re.compile(r'("created_utc": )"[^"]*"')
 
@@ -155,7 +162,7 @@ def normalize(record, folder, tree):
         return CREATED.sub(r'\1""', text)
 
     return {"exit": record["exit"], "stdout": blank(record["stdout"]),
-            "stderr": blank(record["stderr"]),
+            "stderr": blank(record["stderr"]), "folders": record["folders"],
             "files": {name: blank(text)
                       for name, text in record["files"].items()}}
 
@@ -167,11 +174,13 @@ def run(tree, args, folder):
     args = [arg.replace(TREE, str(tree)) for arg in args]
     proc = subprocess.run([sys.executable, "-m", "macrocoh.cli", *args],
                           cwd=folder, env=env, capture_output=True, text=True)
+    made = sorted(folder.rglob("*"))
     files = {str(path.relative_to(folder)): path.read_text(encoding="utf-8")
-             for path in sorted(folder.rglob("*")) if path.is_file()}
+             for path in made if path.is_file()}
+    folders = [str(path.relative_to(folder)) for path in made if path.is_dir()]
     return normalize({"exit": proc.returncode, "stdout": proc.stdout,
-                      "stderr": proc.stderr, "files": files}, str(folder),
-                     str(tree))
+                      "stderr": proc.stderr, "folders": folders,
+                      "files": files}, str(folder), str(tree))
 
 
 def last_line(text):
