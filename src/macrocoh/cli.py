@@ -219,9 +219,10 @@ def cmd_testability(args):
     intervals = {name: testability.violation_intervals(table, name)
                  for name in names}
 
-    stdout = [f"{name}: violation intervals " + ("; ".join(
-        f"[{lo:.3e}, {hi:.3e}] m" for lo, hi in spans) or "none")
-        for name, spans in intervals.items()]
+    stdout = []
+    for name, spans in intervals.items():
+        pretty = "; ".join(f"[{lo:.3e}, {hi:.3e}] m" for lo, hi in spans) or "none"
+        stdout.append(f"{name}: violation intervals {pretty}")
     nearest = table[nearest_index(table.radius, args.highlight_radius)]
     marks = ", ".join(f"ced_{n}={nearest.ced_model[n]:.3e} m" for n in names)
     stdout += [f"highlight r={nearest.radius:.3e} m: "
