@@ -9,9 +9,10 @@ loads numpy only for a sweep of more than `testability.SCALAR_CELLS` cells
 every output path, before any input is read; the command reads its inputs
 and computes the texts of its outputs; `main` makes their folders, writes
 them and last a manifest, <first output>.manifest.json, naming them and the
-resolved inputs, and then prints.  Only the manifest holds a timestamp, so
-repeated runs give byte-identical data files.  Outputs take the mode the
-umask gives a new file.
+resolved inputs, and then prints.  A folder that cannot be made ends the
+run before any write and takes away the folders made before it.  Only the
+manifest holds a timestamp, so repeated runs give byte-identical data files.
+Outputs take the mode the umask gives a new file.
 
 Exit codes: 0 success, 1 computation failure or budget mismatch warning,
 2 input validation failure, such as a NaN or infinite float flag or two
@@ -19,6 +20,7 @@ outputs that name one file.
 """
 
 import argparse
+import errno
 import functools
 import gc
 import itertools
@@ -100,6 +102,30 @@ def check_outputs(outputs):
         if path.is_dir():
             raise ConfigError(f"{path}: is a directory")
     return paths
+
+
+def make_folders(paths):
+    """Make the missing folders of `paths`, outermost first.  One that
+    cannot be made is a ConfigError naming its path, after the folders made
+    before it are removed, deepest first; a file where a folder should be is
+    "Not a directory", at any depth."""
+    made = []
+    for path in paths:
+        missing, folder = [], path.parent
+        while not folder.is_dir():
+            missing.append(folder)
+            folder = folder.parent
+        try:
+            if missing and missing[-1].exists():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+            for folder in reversed(missing):
+                folder.mkdir()
+                made.append(folder)
+        except OSError as exc:
+            for folder in reversed(made):
+                folder.rmdir()
+            raise ConfigError(
+                f"{path}: cannot make its folder: {exc.strerror}") from None
 
 
 def _outputs(args):
@@ -472,15 +498,7 @@ def main(argv=None):
                 raise ConfigError(f"--{flag}: must be finite, got {value}")
         paths = check_outputs(_outputs(args))  # before any input is read
         run = args.func(args)
-        made = set()
-        for path in paths:
-            if path.parent not in made:
-                try:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                except OSError as exc:
-                    raise ConfigError(
-                        f"{path}: cannot make its folder: {exc.strerror}") from None
-                made.add(path.parent)
+        make_folders(paths)
         for path, text in zip(paths[:-1], run.texts, strict=True):
             atomic_write_text(path, text)
         write_manifest(paths[-1], args.command, run.inputs, paths[:-1],

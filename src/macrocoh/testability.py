@@ -23,6 +23,10 @@ each failing cell gets its own message and a NaN, and a radius whose mass
 or kinematics fail fails only its row.  Every value equals the single-radius
 result bit for bit (`numerics` states the rule that makes it so), so every
 split gives the same table.  A NaN cell that raised nothing gets SILENT_NAN.
+
+The sweep CSV (`write_sweep_csv`) writes every float as its repr.  A table
+of fewer than KERNEL_FLOATS float cells is written by repr itself, a larger
+one by the numpy kernel of `reprtext`, which gives the same bytes.
 """
 
 import math
@@ -331,17 +335,39 @@ def violation_intervals(table, model_name):
 _FLAG_TEXT = {True: "true", False: "false", None: "nan"}
 
 
+# A sweep CSV of at least this many float cells, radii x (3 + models), is
+# written by the numpy kernel of `reprtext`, a smaller one by repr; both
+# give the same bytes.  On a 2-vCPU x86-64 VM with numpy loaded (process
+# CPU, medians of 40 alternating calls), repr took 0.84 ms for 1,001 floats,
+# 5.9 ms for 4,004 and 11.5 ms for 14,000, the kernel 0.54, 2.7 and 5.5 ms.
+# A process first pays 6-7 ms to compile and import the kernel and fault in
+# its numpy loops: a first call took 9.0 ms against repr's 6.0 at 4,004
+# floats, 15.6 against 15.9 at 10,003 and 22.2 against 24.3 at 14,000
+# (medians of 11 fresh processes).  So a process that writes one sweep loses
+# at most about 3 ms below 10,000 floats, one that writes several gains from
+# about 1,000, and a small sweep (200 radii x 2 models is 1,000 floats)
+# never loads the kernel nor the 0.6 MB it adds to the resident memory.
+KERNEL_FLOATS = 4000
+
+
 def write_sweep_csv(table):
-    """Text of the sweep CSV, built column by column; floats as their repr."""
+    """Text of the sweep CSV, built column by column; floats as their repr.
+    A table of at least KERNEL_FLOATS float cells has its text written by
+    `reprtext.csv_rows`, byte for byte what repr gives, a smaller one by
+    repr itself."""
     names = list(table.ced_model)
     header = ["radius_m", "mass_kg", "ced_qm_m"]
     header += [f"ced_{name}_m" for name in names]
     header += [f"violated_{name}" for name in names]
     floats = [table.radius, table.mass, table.ced_qm]
     floats += [table.ced_model[name] for name in names]
+    flags = [table.violated[name] for name in names]
+    if len(floats) * len(table) >= KERNEL_FLOATS:
+        from .reprtext import csv_rows
+
+        return csv_rows(header, floats, flags, _FLAG_TEXT)
     cells = [map(repr, values) for values in floats]
-    cells += [map(_FLAG_TEXT.__getitem__, table.violated[name])
-              for name in names]
+    cells += [map(_FLAG_TEXT.__getitem__, column) for column in flags]
     return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
 
 

@@ -713,6 +713,23 @@ def test_output_under_a_file_exit_2(tmp_path, capsys, command):
     assert blocker.read_text() == "not a folder\n"
 
 
+@pytest.mark.parametrize("intervals", ["blocker/i.csv", "blocker/sub/i.csv"])
+def test_a_folder_that_cannot_be_made_takes_away_those_made_before(
+        tmp_path, capsys, intervals):
+    # --out's folders are made first, then --intervals-out's fails: a file
+    # stands where its folder, or an ancestor of it, should be
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a folder\n")
+    out = tmp_path / "new" / "deeper" / "x.csv"
+    assert main(["testability", "--points", "3", "--out", str(out),
+                 "--intervals-out", str(tmp_path / intervals)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / intervals}: cannot make its folder: "
+        "Not a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+    assert blocker.read_text() == "not a folder\n"
+
+
 @pytest.mark.parametrize("intervals", ["blocker/intervals.csv", "folder"])
 def test_bad_intervals_path_writes_no_sweep(tmp_path, capsys, intervals):
     (tmp_path / "blocker").write_text("")

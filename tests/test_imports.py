@@ -41,7 +41,7 @@ scenario_kinematics scenario_presets sigma solve_cet steady_state sweep
 thruster_position_noise violation_intervals visibility_factor
 """.split()
 
-SWEEP_MODULES = {"testability", "collapse"}
+SWEEP_MODULES = {"testability", "collapse", "reprtext"}
 DOMAIN_MODULES = SWEEP_MODULES | {"mission", "vacuum", "decoherence",
                                   "expansion"}
 
@@ -240,13 +240,29 @@ def test_reports_load_neither_dataclasses_nor_inspect(tmp_path, command):
 
 def test_default_testability_and_evaluate_radius_load_no_numpy(tmp_path):
     # 50 radii x 4 models and a single radius are solved radius by radius
-    _, packages = loaded_after(run_command(["testability", "--out", "s.csv"]),
-                               tmp_path)
+    own, packages = loaded_after(
+        run_command(["testability", "--out", "s.csv"]), tmp_path)
+    assert "reprtext" not in own
     assert packages.isdisjoint({"numpy", "scipy", "yaml"})
     own, packages = loaded_after(
         "from macrocoh.testability import (MODEL_PRESETS, evaluate_radius,\n"
         "                                  scenario_presets)\n"
         "evaluate_radius(1e-7, scenario_presets()['fig2_baseline'],\n"
         "                tuple(MODEL_PRESETS.values()))\n", tmp_path)
-    assert "testability" in own
+    assert "testability" in own and "reprtext" not in own
     assert "numpy" not in packages and "scipy" not in packages
+
+
+@pytest.mark.parametrize("above", [False, True],
+                         ids=["just-below-the-crossover", "2000-radii"])
+def test_the_csv_text_kernel_loads_from_its_crossover_on(tmp_path, above):
+    # 4 models: a row holds 7 floats; both sweeps go by columns, with numpy
+    from macrocoh.testability import KERNEL_FLOATS
+
+    points = 2000 if above else (KERNEL_FLOATS - 1) // 7
+    assert (7 * points >= KERNEL_FLOATS) == above
+    own, packages = loaded_after(run_command(
+        ["testability", "--points", str(points), "--models",
+         "csl,csl_adler,qg,k", "--out", "s.csv"]), tmp_path)
+    assert ("reprtext" in own) == above
+    assert "numpy" in packages
