@@ -68,8 +68,7 @@ _SPECIAL = _limbs([_ascii(repr(v).encode()) << 64 for v in
 
 def _shortest(bits):
     """(f, k) for the bits of normal floats: f * 10**k is the value repr
-    writes for |x|, with 10**15 <= f < 10**17.  Temporaries are dropped once
-    used, as a block's memory is its cost."""
+    writes for |x|, with 10**15 <= f < 10**17."""
     biased = bits >> 52 & 0x7FF
     t = bits & (1 << 52) - 1
     irregular = (t == 0) & (biased > 1)  # a power of 2: its lower gap is half
@@ -86,7 +85,6 @@ def _shortest(bits):
     low[2] = 2 << h
     low += cp & _M30
     high, index, odd = cp >> 30, k - _K_MIN, c & 1
-    del biased, t, irregular, q, h, c, cp
     # X = g * each over 30-bit columns, carried as it goes; the result is
     # floor(X / 2**127), made odd when bits 64-126 of X are not all zero
     carry = previous = 0
@@ -105,7 +103,6 @@ def _shortest(bits):
     column >>= 7
     column |= (previous * high + carry) << 23
     column |= sticky != 0
-    del low, high, index, carry, previous, sticky
     vbl, vb, vbr = column
     vbl += odd
     vbr -= odd
@@ -150,7 +147,6 @@ def _float_slots(x, out):
     g[2] = upper // 10 ** 8
     g[3] = upper - g[2] * 10 ** 8
     g[4] = rest % down * _POW10[np.minimum(scale, 8)]
-    del f, k, digits, p, lead, rest, scale, down, upper
     # a group to 8 digit bytes, most significant first: its halves, their
     # halves and their digits, each part by a multiply-high
     for scale, shift, mask, part, lane in ((109951163, 40, -1, 10000, 32),
