@@ -108,19 +108,20 @@ def make_folders(paths):
     """Make the missing folders of `paths`, outermost first.  One that
     cannot be made is a ConfigError naming its path, after the folders made
     before it are removed, deepest first; a file where a folder should be is
-    "Not a directory", at any depth."""
+    "Not a directory", at any depth.  A folder that is there by the time it
+    is made, as `sub/..` once `sub` is, counts as present, never as made."""
     made = []
     for path in paths:
-        missing, folder = [], path.parent
-        while not folder.is_dir():
-            missing.append(folder)
-            folder = folder.parent
+        missing = [*itertools.takewhile(lambda f: not f.is_dir(), path.parents)]
         try:
-            if missing and missing[-1].exists():
-                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
             for folder in reversed(missing):
-                folder.mkdir()
-                made.append(folder)
+                try:
+                    folder.mkdir()
+                    made.append(folder)
+                except FileExistsError:
+                    if not folder.is_dir():
+                        raise NotADirectoryError(errno.ENOTDIR,
+                                                 os.strerror(errno.ENOTDIR))
         except OSError as exc:
             for folder in reversed(made):
                 folder.rmdir()

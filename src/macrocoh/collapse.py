@@ -2,16 +2,18 @@
 
 Four models are covered: continuous spontaneous localization (CSL), the
 wormhole-based quantum-gravity model (QG), the metric-fluctuation model (K),
-and gravitational self-energy collapse (DP).  CSL, QG, and K are quadratic
-laws F = Lambda * dx^2; DP is quadratic below the sphere radius and saturates
-to a constant above it.  Every coefficient also takes a particle whose radius
-is a column, one sphere per element (see `numerics`).
+and gravitational self-energy collapse (DP).  Each law maps a particle to the
+DecoherenceSpec Lambda min(dx, b)^2 of the coefficient Lambda it wraps:
+`csl_law(params)`, `qg_law` and `k_law` are quadratic, `k_sat_law` saturates
+at one coherence cell and `dp_law` at the sphere radius.  Every coefficient
+also takes a radius column, one sphere per element (see `numerics`).
 """
 
 import math
 
 from .config import record
 from .constants import CONSTANTS
+from .expansion import DecoherenceSpec
 from .numerics import any_true, exp, piecewise, power
 
 
@@ -62,12 +64,23 @@ def csl_lambda(particle, params=CSL_DEFAULT):
             / (4.0 * CONSTANTS.m_nucleon**2))
 
 
+def csl_law(params):
+    """The CSL law with the given CslParams."""
+    def law(particle):
+        return DecoherenceSpec(quadratic_lambda=csl_lambda(particle, params))
+    return law
+
+
 def qg_lambda(mass):
     """QG decoherence coefficient, linear in mass: m c^4 m0^5 / (hbar^3 mP^3)."""
     if any_true(mass < 0.0):
         raise ValueError("mass must be non-negative")
     return (mass * CONSTANTS.c**4 * CONSTANTS.m_nucleon**5
             / (CONSTANTS.hbar**3 * CONSTANTS.m_planck**3))
+
+
+def qg_law(particle):
+    return DecoherenceSpec(quadratic_lambda=qg_lambda(particle.mass))
 
 
 def k_coherence_cell(particle):
@@ -102,6 +115,16 @@ def k_lambda(particle, cell=None):
         "K-model coefficient hbar / (8 m a_c^4)", "8 m a_c^4")
 
 
+def k_law(particle):
+    return DecoherenceSpec(quadratic_lambda=k_lambda(particle))
+
+
+def k_sat_law(particle):
+    cell = k_coherence_cell(particle)
+    return DecoherenceSpec(quadratic_lambda=k_lambda(particle, cell),
+                           saturation_separation=cell)
+
+
 def _nonzero(denominator, law, name):
     """The denominator of `law`; a ZeroDivisionError naming it when it (or
     an element of it) has underflowed to 0."""
@@ -115,6 +138,11 @@ def dp_lambda(particle):
     """Small-separation DP coefficient 20 G rho^2 r^3 / hbar, 1/(m^2 s)."""
     return (20.0 * CONSTANTS.G * particle.density**2
             * particle.radius_cubed / CONSTANTS.hbar)
+
+
+def dp_law(particle):
+    return DecoherenceSpec(quadratic_lambda=dp_lambda(particle),
+                           saturation_separation=particle.radius)
 
 
 def dp_rate(particle, delta_x):

@@ -10,17 +10,16 @@ numpy array, e.g. one value per sweep radius) alike.  Their column results
 equal the float results bit for bit, element by element, under one rule:
 numpy does only + - * / and sqrt, which IEEE 754 rounds correctly and which
 therefore match Python's float arithmetic exactly; every other function
-(`power`, `exp`, `hypot`) goes through libm element by element,
-because numpy's SIMD versions differ from libm in the last bit for a few per
-cent of inputs.  A column's `power` calls `math.pow` with the exponent made
-a float once, not the builtin `pow`: both hand finite floats to C `pow`, so
-the bits are those of `**`, but `math.pow` skips the generic number
-dispatch, and an int exponent is not converted again for every element.  It
-raises where `**` raises, and also where `**` would give a complex number (a
-negative base to a fractional exponent), which a float column cannot hold
-anyway.  Branches go through `piecewise`, which runs each branch only on its
-own elements, as an if/else would.  numpy is imported only when a column is
-passed, so scalar callers never load it.
+(`power`, `exp`, `hypot`) goes through libm element by element, because
+numpy's SIMD versions differ from libm in the last bit for a few per cent of
+inputs.  `power` calls `math.pow` on a float and on each element of a column
+alike (a column's exponent is made a float once): it hands finite floats to
+C `pow`, as `**` does, so the bits are those of `**`, but skips the generic
+number dispatch.  It raises where `**` raises, and also where `**` would
+give a complex number (a negative base to a fractional exponent), so a float
+and a column fail alike.  Branches go through `piecewise`, which runs each
+branch only on its own elements, as an if/else would.  numpy is imported
+only when a column is passed, so scalar callers never load it.
 """
 
 import math
@@ -103,7 +102,7 @@ def power(x, exponent):
     if is_column(x):
         return _libm(math.pow, x, float(exponent))
     try:
-        return x ** exponent
+        return math.pow(x, exponent)
     except OverflowError:
         raise OverflowError(
             f"{x:g} ** {exponent:g} overflows a float") from None

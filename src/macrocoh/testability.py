@@ -33,11 +33,11 @@ import math
 from functools import partial
 from operator import attrgetter, lt
 
-from .collapse import (CSL_ADLER, CSL_DEFAULT, csl_lambda, dp_lambda,
-                       k_coherence_cell, k_lambda, qg_lambda)
+from .collapse import (CSL_ADLER, CSL_DEFAULT, csl_law, dp_law, k_law,
+                       k_sat_law, qg_law)
 from .config import csv_text, record
 from .decoherence import qm_channel_rates
-from .expansion import DecoherenceSpec, ced_or_inf
+from .expansion import ced_or_inf
 from .numerics import is_column
 from .scenario import PRESET_FILES, load_preset, scenario_presets  # noqa: F401
 
@@ -45,9 +45,9 @@ from .scenario import PRESET_FILES, load_preset, scenario_presets  # noqa: F401
 @record
 class ModelSpec:
     """A collapse model under the name its sweep columns carry: `law(particle)`
-    gives the model's DecoherenceSpec.  Two parameterizations of one model
-    ride one sweep under two names, as ModelSpec("adler", csl_law(CSL_ADLER))
-    beside MODEL_PRESETS["csl"]."""
+    gives the model's DecoherenceSpec, as each law of `collapse` does.  Two
+    parameterizations of one model ride one sweep under two names, as
+    ModelSpec("adler", csl_law(CSL_ADLER)) beside MODEL_PRESETS["csl"]."""
 
     name: str
     law: object   # particle -> DecoherenceSpec
@@ -56,35 +56,6 @@ class ModelSpec:
         if not callable(self.law):
             raise ValueError(f"model spec {self.name!r}: law must be callable, "
                              f"got {type(self.law).__name__}")
-
-
-# The laws.  CSL, QG and K are quadratic; DP saturates at the sphere radius
-# and the saturated K variant at one coherence cell.
-
-def csl_law(params):
-    """The CSL law with the given CslParams."""
-    def law(particle):
-        return DecoherenceSpec(quadratic_lambda=csl_lambda(particle, params))
-    return law
-
-
-def qg_law(particle):
-    return DecoherenceSpec(quadratic_lambda=qg_lambda(particle.mass))
-
-
-def k_law(particle):
-    return DecoherenceSpec(quadratic_lambda=k_lambda(particle))
-
-
-def k_sat_law(particle):
-    cell = k_coherence_cell(particle)
-    return DecoherenceSpec(quadratic_lambda=k_lambda(particle, cell),
-                           saturation_separation=cell)
-
-
-def dp_law(particle):
-    return DecoherenceSpec(quadratic_lambda=dp_lambda(particle),
-                           saturation_separation=particle.radius)
 
 
 MODEL_PRESETS = {

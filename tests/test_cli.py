@@ -122,6 +122,18 @@ def test_decoherence_report_missing_field_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_decoherence_report_mass_underflow_is_invalid_input_exit_2(tmp_path,
+                                                                  capsys):
+    # a radius of 1e-129 m cubes to 0, so the mass underflows
+    scenario = packaged_copy(tmp_path, "scenarios/baseline_fig2.yaml",
+                             lambda doc: doc["particle"].update(radius_nm=1e-120))
+    assert main(["decoherence-report", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "new" / "d.csv")]) == 2
+    assert capsys.readouterr() == (
+        "", "error: invalid input: mass and trap frequency must be positive\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["baseline_fig2.yaml"]
+
+
 def test_decoherence_report_unknown_preset_exit_2(tmp_path, capsys):
     for command in ("decoherence-report", "testability"):
         assert main([command, "--preset", "nope",
@@ -728,6 +740,34 @@ def test_a_folder_that_cannot_be_made_takes_away_those_made_before(
         "Not a directory\n")
     assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
     assert blocker.read_text() == "not a folder\n"
+
+
+@pytest.mark.parametrize("out", ["sub/../d2.csv", "sub/../sub/x.csv"])
+def test_an_output_through_a_made_folder_and_back_is_written(
+        tmp_path, capsys, monkeypatch, out):
+    # once sub is made, sub/.. is there: a folder present, not one that
+    # cannot be made
+    monkeypatch.chdir(tmp_path)
+    assert main(["decoherence-report", "--out", out]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+    assert (tmp_path / out).is_file() and (tmp_path / "sub").is_dir()
+
+
+def test_a_file_past_a_made_folder_and_back_is_not_a_directory(
+        tmp_path, capsys, monkeypatch):
+    # sub/.. of --out is present, not made, so only sub is taken away when a
+    # folder of --intervals-out, or of --out itself, cannot be made
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blocker").write_text("not a folder\n")
+    for out, intervals in (("sub/../sub/x.csv", "blocker/sub/i.csv"),
+                           ("sub/../blocker/x.csv", "i.csv")):
+        assert main(["testability", "--points", "3", "--out", out,
+                     "--intervals-out", intervals]) == 2
+        failed = out if intervals == "i.csv" else intervals
+        assert capsys.readouterr().err == (
+            f"error: {failed}: cannot make its folder: Not a directory\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+    assert (tmp_path / "blocker").read_text() == "not a folder\n"
 
 
 @pytest.mark.parametrize("intervals", ["blocker/intervals.csv", "folder"])

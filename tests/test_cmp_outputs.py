@@ -31,7 +31,7 @@ def record(exit=0, stdout="wrote sweep.csv\n", stderr="", files=None,
 def test_matrix_covers_every_sweep_and_report_once():
     commands = cmp_outputs.matrix()
     assert len(commands) == (3 * 8 * 2 * 3 * 3 + 3 * 8
-                             + len(cmp_outputs.REPORTS)) == 502
+                             + len(cmp_outputs.REPORTS)) == 504
     assert len(set(commands)) == len(commands)
     assert commands[0] == (
         "testability", "--preset", "fig2_baseline", "--radius-min", "1e-8",

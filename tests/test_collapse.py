@@ -234,3 +234,14 @@ def test_model_spec_requires_a_callable_law():
     with pytest.raises(ValueError, match=r"^model spec 'csl': law must be "
                                          r"callable, got CslParams$"):
         ModelSpec("csl", CSL_DEFAULT)
+
+
+def test_each_law_lives_in_collapse_and_testability_reexports_it():
+    from macrocoh import collapse, testability
+
+    for name in ("csl_law", "qg_law", "k_law", "k_sat_law", "dp_law"):
+        assert getattr(testability, name) is getattr(collapse, name)
+        assert getattr(collapse, name).__module__ == "macrocoh.collapse"
+    coefficients = {"csl_lambda", "qg_lambda", "k_coherence_cell", "k_lambda",
+                    "dp_lambda"}
+    assert coefficients.isdisjoint(vars(testability))

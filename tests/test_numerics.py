@@ -92,12 +92,20 @@ EDGE_EXPONENTS = [2, 3, 4, 6, 2.0 / 3.0, 1.0 / 3.0, 0.5, -1]
 
 
 def _scalar_power(x, exponent):
-    # the float power(x, exponent), or None where it raises or is complex
+    # the float power(x, exponent), or None where it raises
     try:
-        value = power(x, exponent)
-    except ArithmeticError:
+        return power(x, exponent)
+    except (ArithmeticError, ValueError):
         return None
-    return value if type(value) is float else None
+
+
+def test_a_negative_base_to_a_fractional_power_raises_for_a_float_too():
+    # ** would give the complex principal root; math.pow refuses, as it does
+    # for each element of a column
+    for x in (-8.0, np.array([1.0, -8.0])):
+        with pytest.raises(ValueError, match="^math domain error$"):
+            power(x, 1.0 / 3.0)
+    assert type(power(2.0, 2)) is float and power(-2.0, 3) == -8.0
 
 
 @pytest.mark.parametrize("exponent", EDGE_EXPONENTS)

@@ -117,6 +117,9 @@ REPORTS = (
     ("testability", "--models", "nope", "--out", "x.csv",
      "--intervals-out", "x.csv"),
     ("decoherence-report", "--preset", "nope", "--out", "new/deco.csv"),
+    # an output path through a folder it makes and back out of it
+    ("decoherence-report", "--out", "sub/../d2.csv"),
+    ("decoherence-report", "--out", "sub/../sub/x.csv"),
 )
 CREATED = re.compile(r'("created_utc": )"[^"]*"')
 
