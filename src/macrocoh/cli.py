@@ -149,22 +149,6 @@ class Run:
     status: int = 0
 
 
-def nearest_index(radii, target):
-    """min(range(len(radii)), key=lambda i: abs(radii[i] - target)), the
-    first of the radii nearest the finite `target`, found by bisection on
-    the non-decreasing list `radii`."""
-    from bisect import bisect_left
-
-    above = bisect_left(radii, target)
-    if above == 0:
-        return 0
-    below = target - radii[above - 1]  # the least distance below target
-    if above < len(radii) and radii[above] - target < below:
-        return above
-    # r - target is -(target - r) exactly, so the key rises on radii < target
-    return bisect_left(radii, -below, hi=above, key=lambda r: r - target)
-
-
 def _pick(flag, names, available):
     """`names`, keys of `available` given once each; else a ConfigError
     naming `flag` and the unknown names or the first one given twice."""
@@ -250,7 +234,8 @@ def cmd_testability(args):
     for name, spans in intervals.items():
         pretty = "; ".join(f"[{lo:.3e}, {hi:.3e}] m" for lo, hi in spans) or "none"
         stdout.append(f"{name}: violation intervals {pretty}")
-    nearest = table[nearest_index(table.radius, args.highlight_radius)]
+    distances = [abs(r - args.highlight_radius) for r in table.radius]
+    nearest = table[distances.index(min(distances))]  # the first of ties
     marks = ", ".join(f"ced_{n}={nearest.ced_model[n]:.3e} m" for n in names)
     stdout += [f"highlight r={nearest.radius:.3e} m: "
                f"ced_qm={nearest.ced_qm:.3e} m, {marks}",

@@ -209,19 +209,8 @@ def build(make, path, *args, **fields):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def csv_cell(value):
-    """Text of one CSV cell: a float as its round-trip repr, else str(value).
-
-    numpy float scalars count as floats and are converted first, because
-    under numpy 2 their repr names the type (np.float64(...)).  Infinite and
-    NaN values come out as 'inf' and 'nan'.
-    """
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def csv_text(header, rows):
-    """CSV text of a header and rows, each cell formatted by csv_cell."""
-    return "".join(",".join(map(csv_cell, row)) + "\n"
+    """CSV text of a header and rows; each cell is str(cell), which for a
+    float is its round-trip repr ('inf' and 'nan' included)."""
+    return "".join(",".join(map(str, row)) + "\n"
                    for row in [header, *rows])

@@ -97,8 +97,8 @@ def _libm(fn, *args):
 
 
 def power(x, exponent):
-    """x ** exponent by libm; an overflow raises OverflowError, which for a
-    scalar names the operands."""
+    """x ** exponent by libm.  For a scalar, an overflow's OverflowError and
+    a domain error's ValueError (-8 ** 1/3, 0 ** -1) name the operands."""
     if is_column(x):
         return _libm(math.pow, x, float(exponent))
     try:
@@ -106,6 +106,9 @@ def power(x, exponent):
     except OverflowError:
         raise OverflowError(
             f"{x:g} ** {exponent:g} overflows a float") from None
+    except ValueError:
+        raise ValueError(f"{x:g} ** {exponent:g} is outside the domain"
+                         " of a float power") from None
 
 
 def exp(x):

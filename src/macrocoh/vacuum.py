@@ -16,6 +16,9 @@ from .constants import CONSTANTS
 ROOM_TEMPERATURE = 300.0  # K, reference for activation energies
 HOUR = 3600.0
 MBAR = 100.0  # Pa
+# the unit-suffixed spellings of a preset field, each with its factor to SI
+RESIDENCE_TIME_KEYS = {"residence_time_s": 1.0, "residence_time_h": HOUR}
+SPECIES_MASS_KEYS = {"species_mass_kg": 1.0, "species_mass_amu": CONSTANTS.m_u}
 
 
 @config.record
@@ -199,10 +202,8 @@ def _material_from_mapping(name, doc, path):
     species = config.build(
         OutgassingSpecies, path,
         tml_percent=config.number(doc, "tml_percent", path),
-        residence_time=config.quantity(
-            doc, path, {"residence_time_s": 1.0, "residence_time_h": HOUR}),
-        species_mass=config.quantity(
-            doc, path, {"species_mass_kg": 1.0, "species_mass_amu": CONSTANTS.m_u}),
+        residence_time=config.quantity(doc, path, RESIDENCE_TIME_KEYS),
+        species_mass=config.quantity(doc, path, SPECIES_MASS_KEYS),
     )
     # mass and area are normalization choices when a preset does not fix them
     return config.build(
@@ -219,10 +220,8 @@ def _summary_from_mapping(name, doc, path):
         EmissionSummary, path,
         name=name,
         mass_loss_rate=config.number(doc, "d_out_kg_s", path),
-        species_mass=config.quantity(
-            doc, path, {"species_mass_kg": 1.0, "species_mass_amu": CONSTANTS.m_u}),
-        residence_time=config.quantity(
-            doc, path, {"residence_time_s": 1.0, "residence_time_h": HOUR}),
+        species_mass=config.quantity(doc, path, SPECIES_MASS_KEYS),
+        residence_time=config.quantity(doc, path, RESIDENCE_TIME_KEYS),
         gamma0=config.number(doc, "gamma0_per_m2_s", path),
         pressure=config.quantity(
             doc, path, {"pressure_Pa": 1.0, "pressure_mbar": MBAR}),

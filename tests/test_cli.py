@@ -14,11 +14,9 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given
-from hypothesis import strategies as st
 
 from macrocoh import cli
-from macrocoh.cli import build_parser, main, nearest_index
+from macrocoh.cli import build_parser, main
 from macrocoh.config import replace
 from macrocoh.scenario import scenario_kinematics
 from macrocoh.testability import scenario_presets
@@ -965,6 +963,20 @@ def test_preset_is_loaded_once_and_an_unknown_one_fails_each_time(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["decoherence-report", "--scenario", "missing.yaml", "--out", "d.csv"],
+     "missing.yaml"),
+    (["vacuum-report", "--materials", "nope/m.yaml", "--out", "v.csv"],
+     "nope/m.yaml"),
+], ids=["scenario", "materials"])
+def test_a_missing_input_file_exits_2_and_leaves_nothing(tmp_path, capsys,
+                                                         monkeypatch, argv,
+                                                         missing):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {missing}: file not found\n")
+    assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("command", ["decoherence-report", "testability",
                                      "vacuum-report", "mission-report"])
@@ -1038,7 +1050,6 @@ def test_highlight_row_is_the_nearest_radius_first_of_ties(tmp_path, capsys,
     rows = read_rows(out)
     radii = [float(row["radius_m"]) for row in rows]
     index = _min_choice(radii, float(target))
-    assert nearest_index(radii, float(target)) == index
     if flags is NARROW:
         assert radii[0] == radii[1] and radii[-2] == radii[-1]
     row = rows[index]
@@ -1046,15 +1057,6 @@ def test_highlight_row_is_the_nearest_radius_first_of_ties(tmp_path, capsys,
             f"ced_qm={float(row['ced_qm_m']):.3e} m, "
             f"ced_csl={float(row['ced_csl_m']):.3e} m\n"
             ) in capsys.readouterr().out
-
-
-@given(st.lists(st.sampled_from([1e-300, 2e-300, 1e-7, 1.5e-7, 2e-7, 3e-7,
-                                 1e300, 1.7e308]) | st.floats(1e-300, 1e300),
-                min_size=1),
-       st.floats(allow_nan=False, allow_infinity=False))
-def test_nearest_index_is_the_linear_scan_choice(radii, target):
-    radii.sort()
-    assert nearest_index(radii, target) == _min_choice(radii, target)
 
 
 # ------------------------------------------- repeated in-process calls

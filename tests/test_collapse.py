@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from macrocoh import (CONSTANTS, CSL_ADLER, CSL_DEFAULT, ComplexPermittivity,
@@ -245,3 +246,11 @@ def test_each_law_lives_in_collapse_and_testability_reexports_it():
     coefficients = {"csl_lambda", "qg_lambda", "k_coherence_cell", "k_lambda",
                     "dp_lambda"}
     assert coefficients.isdisjoint(vars(testability))
+
+
+@pytest.mark.parametrize("mass", [-1e-18, np.array([1e-18, -1e-18])],
+                         ids=["float", "column"])
+def test_qg_lambda_rejects_a_negative_mass(mass):
+    with pytest.raises(ValueError) as exc:
+        qg_lambda(mass)
+    assert str(exc.value) == "mass must be non-negative"

@@ -1,5 +1,7 @@
 """Environmental decoherence channels and the emission spectrum."""
 
+import math
+
 import pytest
 
 from macrocoh import (CONSTANTS, ComplexPermittivity, Environment, Particle,
@@ -218,3 +220,10 @@ def test_channel_rates_reject_negative():
     with pytest.raises(ValueError):
         ChannelRates(gas_rate=-1.0, lambda_bb_scatter=0.0,
                      lambda_bb_absorb=0.0, lambda_bb_emit=0.0)
+
+
+@pytest.mark.parametrize("temperature", [-1.0, -math.inf])
+def test_emission_rejects_a_negative_internal_temperature(temperature):
+    with pytest.raises(ValueError) as exc:
+        bb_emit_lambda(make_particle(), temperature)
+    assert str(exc.value) == "temperature must be non-negative"

@@ -459,3 +459,16 @@ def test_piecewise_runs_each_branch_on_its_own_elements():
     # a scalar condition takes a computed value as a branch too
     assert piecewise(0.0 > 0.0, (0.0,), inverse, -1.0) == -1.0
     assert piecewise(2.0 > 0.0, (2.0,), 0.5, inverse) == 0.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExpansionKinematics(x0=0.0, v_m=1.0), "x0 and v_m must be positive"),
+    (lambda: ExpansionKinematics(x0=np.array([1e-12, -1e-12]), v_m=1.0),
+     "x0 and v_m must be positive"),
+    (lambda: gamma(-1.0, BASE_SPEC, BASE_KIN),
+     "expansion time must be non-negative"),
+], ids=["x0", "x0-column", "tau"])
+def test_range_checks_name_the_bad_quantity(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

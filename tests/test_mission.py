@@ -9,7 +9,7 @@ from macrocoh import (BudgetLedger, OrbitElements, altitude_window,
                       integrated_accuracy, load_budgets, load_orbit,
                       local_gravity, orbital_period, thruster_position_noise)
 from macrocoh.constants import CONSTANTS
-from macrocoh.mission import thruster_accel_psd
+from macrocoh.mission import thruster_accel_psd, time_from_perigee
 
 HEO = OrbitElements(apogee_altitude=650000e3, perigee_altitude=3800e3)
 
@@ -182,3 +182,23 @@ def test_load_orbit_defaults_and_targets():
     assert orbit.body_radius == 6.371e6
     assert doc["targets"]["period_days"] == 22.0
     assert doc["targets"]["perigee_window_minutes"] == 20.2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: OrbitElements(1e6, 1e5, body_radius=0.0),
+     "body radius and mu must be positive"),
+    (lambda: OrbitElements(1e6, 1e5, body_mu=-1.0),
+     "body radius and mu must be positive"),
+    (lambda: local_gravity(HEO, -1.0), "altitude must be non-negative"),
+    (lambda: time_from_perigee(HEO, 1000e3), "altitude lies outside the orbit"),
+    (lambda: altitude_window(HEO, 4500e3, 3800e3), "need h_lo <= h_hi"),
+    (lambda: thruster_position_noise(10.0, -1e-10),
+     "acceleration PSD must be non-negative"),
+    (lambda: cooling_noise_threshold(1.0, 1e10, 0.0),
+     "g0, Q, and temperature must be positive"),
+], ids=["body-radius", "body-mu", "gravity-altitude", "perigee-altitude",
+        "reversed-band", "thruster-psd", "cooling-temperature"])
+def test_range_checks_name_the_bad_quantity(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -100,12 +100,20 @@ def _scalar_power(x, exponent):
 
 
 def test_a_negative_base_to_a_fractional_power_raises_for_a_float_too():
-    # ** would give the complex principal root; math.pow refuses, as it does
-    # for each element of a column
-    for x in (-8.0, np.array([1.0, -8.0])):
-        with pytest.raises(ValueError, match="^math domain error$"):
-            power(x, 1.0 / 3.0)
+    # ** would give the complex principal root; math.pow refuses, for a float
+    # naming the operands, and for each element of a column with libm's text
+    with pytest.raises(ValueError, match=r"^-8 \*\* 0\.333333 is outside the "
+                       r"domain of a float power$"):
+        power(-8.0, 1.0 / 3.0)
+    with pytest.raises(ValueError, match="^math domain error$"):
+        power(np.array([1.0, -8.0]), 1.0 / 3.0)
     assert type(power(2.0, 2)) is float and power(-2.0, 3) == -8.0
+
+
+def test_zero_to_a_negative_power_names_its_operands():
+    with pytest.raises(ValueError, match=r"^0 \*\* -1 is outside the domain "
+                       r"of a float power$"):
+        power(0.0, -1.0)
 
 
 @pytest.mark.parametrize("exponent", EDGE_EXPONENTS)

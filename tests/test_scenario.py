@@ -263,3 +263,10 @@ def test_records_compare_hash_and_print_by_their_fields():
         ComplexPermittivity(2.1)
     with pytest.raises(TypeError):
         ComplexPermittivity(2.1, 0.57, real_part=2.0)
+
+
+@pytest.mark.parametrize("temperature", [-1.0, -math.inf])
+def test_trap_rejects_a_negative_internal_temperature(temperature):
+    with pytest.raises(ValueError) as exc:
+        Trap(1064e-9, 0.1, 1e-5, temperature)
+    assert str(exc.value) == "internal temperature must be non-negative"

@@ -559,3 +559,12 @@ def test_an_underflowed_k_denominator_names_the_law(lo, hi, row, shown):
     assert str(exc.value) == K_UNDERFLOW
     errors = sweep(config).errors[row]
     assert errors["k"] == errors["k_sat"] == K_UNDERFLOW
+
+
+@pytest.mark.parametrize("name", ["radius_min", "radius_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_sweep_config_names_a_non_finite_bound(name, value):
+    bounds = {"radius_min": 1e-8, "radius_max": 5e-7, name: value}
+    with pytest.raises(ValueError) as exc:
+        SweepConfig(**bounds, points=5, scenario=BASELINE, models=())
+    assert str(exc.value) == f"{name} must be finite"

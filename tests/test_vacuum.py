@@ -222,3 +222,35 @@ def test_material_validation():
     with pytest.raises(ValueError):
         MaterialOutgassing(name="x", total_mass=1.0, species=(),
                            emitting_area=1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: OutgassingSpecies(0.2, 0.0, AMU30),
+     "residence time must be positive"),
+    (lambda: OutgassingSpecies(0.2, HOUR, 0.0), "species mass must be positive"),
+    (lambda: single_species_material(total_mass=0.0),
+     "total mass and emitting area must be positive"),
+    (lambda: outgassing_rate(single_species_material(), -1.0),
+     "time must be non-negative"),
+    (lambda: steady_state(-1.0, 300.0, AMU30),
+     "emission rate must be non-negative"),
+    (lambda: steady_state(1e14, 0.0, AMU30),
+     "temperature and species mass must be positive"),
+    (lambda: dilution_from_sphere(5.0, 0.0, 1e-3),
+     "sphere radius must be positive"),
+    (lambda: dilution_from_patch(1.0, 0.0, 0.1), "emitting area must be positive"),
+    (lambda: implied_emitting_area(1e-12, AMU30, 0.0),
+     "emission rate must be positive"),
+    (lambda: arrhenius_residence(0.0, 5e4, 300.0),
+     "tau0 and temperature must be positive"),
+    (lambda: pressure_attenuation(-1.0, 300.0, 30.0),
+     "activation energy must be non-negative"),
+    (lambda: bake_out_power(0.0, 300.0), "area must be positive"),
+    (lambda: bake_out_power(0.23, -1.0), "temperature must be non-negative"),
+], ids=["residence-time", "species-mass", "total-mass", "time", "gamma0",
+        "temperature", "sphere-radius", "patch-area", "implied-area", "tau0",
+        "activation-energy", "bake-area", "bake-temperature"])
+def test_range_checks_name_the_bad_quantity(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
