@@ -17,9 +17,10 @@ alike (a column's exponent is made a float once): it hands finite floats to
 C `pow`, as `**` does, so the bits are those of `**`, but skips the generic
 number dispatch.  It raises where `**` raises, and also where `**` would
 give a complex number (a negative base to a fractional exponent), so a float
-and a column fail alike.  Branches go through `piecewise`, which runs each
-branch only on its own elements, as an if/else would.  numpy is imported
-only when a column is passed, so scalar callers never load it.
+and a column fail alike, a float with its operands named.  Branches go
+through `piecewise`, which runs each branch only on its own elements, as an
+if/else would.  numpy is imported only when a column is passed, so scalar
+callers never load it.
 """
 
 import math
@@ -97,8 +98,7 @@ def _libm(fn, *args):
 
 
 def power(x, exponent):
-    """x ** exponent by libm.  For a scalar, an overflow's OverflowError and
-    a domain error's ValueError (-8 ** 1/3, 0 ** -1) name the operands."""
+    """x ** exponent by libm; for a float, an error names the operands."""
     if is_column(x):
         return _libm(math.pow, x, float(exponent))
     try:

@@ -101,7 +101,7 @@ def _scalar_power(x, exponent):
 
 def test_a_negative_base_to_a_fractional_power_raises_for_a_float_too():
     # ** would give the complex principal root; math.pow refuses, for a float
-    # naming the operands, and for each element of a column with libm's text
+    # naming the operands, and for each element of a column with math's text
     with pytest.raises(ValueError, match=r"^-8 \*\* 0\.333333 is outside the "
                        r"domain of a float power$"):
         power(-8.0, 1.0 / 3.0)
