@@ -25,8 +25,6 @@ def gas_collision_rate(particle, env):
     2 sqrt(6 pi) r^2 p / (m_a v_a) with the root-mean-square thermal velocity
     v_a = sqrt(3 k_B T / m_a).
     """
-    if not env.gas_particle_mass > 0.0:
-        raise ValueError("gas particle mass must be positive")
     if env.pressure == 0.0:
         return 0.0
     if env.temperature == 0.0:

@@ -1,7 +1,8 @@
 """`repr` of float columns in bulk: the text of a large sweep CSV.
 
-`csv_rows` writes every float as `repr(float(x))` does, byte for byte, by
-numpy over blocks of rows, in two stages.  First the digits: Schubfach (R.
+`csv_rows` stacks its float columns, float64 arrays or lists, into one
+row-major array once and writes every float as `repr(float(x))` does, byte
+for byte, by numpy over blocks of its rows, in two stages.  First the digits: Schubfach (R.
 Giulietti, "The Schubfach way to render doubles", 2020; Ryu, U. Adams, PLDI
 2018, gives the same digits) finds the shortest decimal f * 10**k that
 rounds back to x, the nearest one, ties to even, as CPython's dtoa does.
@@ -17,8 +18,6 @@ Zero, infinities and NaN take the text `repr` gives them.  A subnormal
 (below 2.2250738585072014e-308) is written by `repr` itself: Schubfach's
 path for small significands may choose other digits (4.9e-324 for 5e-324).
 """
-
-from itertools import chain
 
 import numpy as np
 
@@ -183,15 +182,18 @@ def _float_slots(x, out):
 def csv_rows(header, floats, flags, flag_text):
     """The text of a CSV: the line of the column names `header`, then a
     line per row: its cells of the float columns `floats`, as repr writes
-    them, then flag_text[value] of its cells of the columns `flags`.  Every
-    line ends in a newline; each flag text is ASCII of at most 7 bytes."""
-    rows, width = len(floats[0]), len(floats)
+    them, then the text of its cells of the columns `flags`.  A flag column
+    is an integer array of codes, indices into flag_text's values, or a list
+    of flag_text's keys.  Lists are converted to arrays once.  Every line
+    ends in a newline; each flag text is ASCII of at most 7 bytes."""
+    x = np.stack(floats, axis=1, dtype=np.float64)  # a row of floats per row
+    rows, width = x.shape
     codes = {key: i for i, key in enumerate(flag_text)}
     words = np.array([_ascii(text.encode("ascii")) for text in flag_text.values()],
                      np.int64)
-    flag_codes = np.empty((len(flags), rows), np.uint8)
-    for j, column in enumerate(flags):
-        flag_codes[j] = np.fromiter(map(codes.__getitem__, column), np.uint8, rows)
+    flag_rows = np.array([column if isinstance(column, np.ndarray) else
+                          [codes[flag] for flag in column] for column in flags],
+                         np.uint8).reshape(len(flags), rows).T
     # a row is a slot per float, then a word per flag, six words to a slot
     slots_per_row = width + -(-len(flags) // 6)
     separators = np.zeros(6 * slots_per_row, np.int64)
@@ -202,12 +204,10 @@ def csv_rows(header, floats, flags, flag_text):
     parts = [",".join(header) + "\n"]
     for start in range(0, rows, block):
         stop = min(start + block, rows)
-        x = np.fromiter(chain.from_iterable(c[start:stop] for c in floats),
-                        np.float64, (stop - start) * width)
         slots = np.zeros((stop - start, slots_per_row, 6), "<i8")
-        _float_slots(x.reshape(width, -1).T.ravel(), slots[:, :width])
+        _float_slots(x[start:stop].ravel(), slots[:, :width])
         slots = slots.reshape(stop - start, -1)
-        slots[:, 6 * width:6 * width + len(flags)] = words[flag_codes[:, start:stop].T]
+        slots[:, 6 * width:6 * width + len(flags)] = words[flag_rows[start:stop]]
         slots += separators
         parts.append(slots.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)

@@ -15,8 +15,9 @@ numpy; that covers the CLI default (50 radii x 4 models) and
 `evaluate_radius`.  A larger part works on columns: its radii become one
 numpy array, set as the radius of the scenario's particle, and the same
 coefficient laws and closed-form CET that serve a single radius
-(`collapse`, `decoherence`, `expansion`) fill one column per law at once;
-the mass and `Scenario.kinematics` are evaluated once per column.  The laws
+(`collapse`, `decoherence`, `expansion`) fill one column per law at once,
+and the table keeps the columns until they become text (SweepTable); the
+mass and `Scenario.kinematics` are evaluated once per column.  The laws
 whose column raises, or on which numpy flags a division by zero or an
 invalid operation, go down together into the two halves of the part, so
 each failing cell gets its own message and a NaN, and a radius whose mass
@@ -31,7 +32,7 @@ one by the numpy kernel of `reprtext`, which gives the same bytes.
 
 import math
 from functools import partial
-from operator import attrgetter, lt
+from operator import attrgetter, ne
 
 from .collapse import (CSL_ADLER, CSL_DEFAULT, csl_law, dp_law, k_law,
                        k_sat_law, qg_law)
@@ -92,6 +93,10 @@ class SweepConfig:
             raise ValueError("model names must be unique within a sweep")
 
 
+_FLAG_TEXT = {True: "true", False: "false", None: "nan"}
+_FLAGS = tuple(_FLAG_TEXT)  # the flag of each code of a uint8 flag column
+
+
 @record
 class SweepRow:
     """One radius of a sweep; a view of a SweepTable row."""
@@ -108,18 +113,20 @@ class SweepRow:
 class SweepTable:
     """A solved sweep stored by column, rows in grid order.
 
-    Columns are lists of Python floats.  `violated[name]` holds True or
-    False per row, or None where either CED of the row is NaN: a failed cell
-    is undecided, never "not violated".  `errors` maps a row index to
+    `radius` is a list of Python floats.  The other columns are lists in a
+    table solved radius by radius, with True, False or None per flag: None
+    where either CED of the row is NaN, a failed cell being undecided, never
+    "not violated".  Solved by columns they are float64 arrays and uint8
+    flag codes, indices into _FLAG_TEXT.  `errors` maps a row index to
     {"qm" or model name: message}.  Indexing and iteration give SweepRow
-    views.
+    views of Python floats and True/False/None.
     """
 
     radius: list                  # m
-    mass: list                    # kg
-    ced_qm: list                  # m
+    mass: object                  # kg; list or float64 array
+    ced_qm: object                # m; list or float64 array
     ced_model: dict               # name -> column of CED (m)
-    violated: dict                # name -> column of True/False/None
+    violated: dict                # name -> True/False/None list or uint8 codes
     errors: dict
 
     def __len__(self):
@@ -128,9 +135,11 @@ class SweepTable:
     def __getitem__(self, index):
         i = range(len(self.radius))[index]
         return SweepRow(
-            radius=self.radius[i], mass=self.mass[i], ced_qm=self.ced_qm[i],
-            ced_model={name: col[i] for name, col in self.ced_model.items()},
-            violated={name: col[i] for name, col in self.violated.items()},
+            radius=self.radius[i], mass=float(self.mass[i]),
+            ced_qm=float(self.ced_qm[i]),
+            ced_model={name: float(col[i]) for name, col in self.ced_model.items()},
+            violated={name: _FLAGS[col[i]] if is_column(col) else col[i]
+                      for name, col in self.violated.items()},
             errors=dict(self.errors.get(i, {})))
 
     def __iter__(self):
@@ -252,20 +261,20 @@ def _solve(radii, scenario, models):
     if is_column(columns[0]):
         import numpy as np
 
-        nans = [np.flatnonzero(np.isnan(values)).tolist() for values in columns]
-        flags = [(values < columns[1]).tolist() for values in columns[2:]]
-        columns = [values.tolist() for values in columns]
+        undecided = [np.isnan(values) for values in columns]
+        nans = [np.flatnonzero(mask).tolist() for mask in undecided]
+        # codes into _FLAG_TEXT: True 0, False 1, None 2
+        flags = [np.where(mask | undecided[1], np.uint8(2), values >= columns[1])
+                 for values, mask in zip(columns[2:], undecided[2:])]
     else:
         nans = [[i for i, value in enumerate(values) if value != value]
                 for values in columns]
-        flags = [list(map(lt, values, columns[1])) for values in columns[2:]]
+        flags = [[None if m != m or q != q else m < q
+                  for m, q in zip(values, columns[1])] for values in columns[2:]]
     errors = {}
     for (key, _), (_, messages), rows in zip(laws, parts, nans):
         for i in rows:
             errors.setdefault(i, {}).setdefault(key, messages[i])
-    for model_flags, rows in zip(flags, nans[2:]):
-        for i in nans[1] + rows:
-            model_flags[i] = None
     mass, ced_qm, *ced = columns
     names = [spec.name for spec in models]
     return SweepTable(
@@ -287,30 +296,27 @@ def evaluate_radius(radius, scenario, models):
 def violation_intervals(table, model_name):
     """Maximal contiguous violated runs as (r_lo, r_hi) pairs at grid
     resolution; an undecided row ends a run like a non-violated one."""
-    intervals = []
-    start = None
-    last = None
-    for radius, flag in zip(table.radius, table.violated[model_name]):
-        if flag:
-            if start is None:
-                start = radius
-            last = radius
-        elif start is not None:
-            intervals.append((start, last))
-            start = None
-    if start is not None:
-        intervals.append((start, last))
-    return intervals
+    flags = table.violated[model_name]
+    if is_column(flags):
+        import numpy as np
 
-
-_FLAG_TEXT = {True: "true", False: "false", None: "nan"}
+        held = np.zeros(len(flags) + 2, bool)
+        held[1:-1] = flags == 0
+        edges = np.flatnonzero(held[1:] != held[:-1]).tolist()
+    else:
+        held = [False, *map(bool, flags), False]
+        edges = [i for i, edge in enumerate(map(ne, held, held[1:])) if edge]
+    # the rows where a run starts and those just past its end, in turn
+    return [(table.radius[lo], table.radius[hi - 1])
+            for lo, hi in zip(edges[::2], edges[1::2])]
 
 
 # A sweep CSV of at least this many float cells, radii x (3 + models), is
 # written by the numpy kernel of `reprtext`, a smaller one by repr; both
 # give the same bytes.  On a 2-vCPU x86-64 VM with numpy loaded (process
-# CPU, medians of 40 alternating calls), repr took 0.84 ms for 1,001 floats,
-# 5.9 ms for 4,004 and 11.5 ms for 14,000, the kernel 0.54, 2.7 and 5.5 ms.
+# CPU, medians of 40 alternating calls, three rounds, on a column table),
+# repr took 0.82-0.98 ms for 1,001 floats, 3.3-3.7 ms for 4,004 and
+# 11.7-12.2 ms for 14,000, the kernel 0.46-0.62, 1.8-1.9 and 5.0-5.2 ms.
 # A process first pays 6-7 ms to compile and import the kernel and fault in
 # its numpy loops: a first call took 9.0 ms against repr's 6.0 at 4,004
 # floats, 15.6 against 15.9 at 10,003 and 22.2 against 24.3 at 14,000
@@ -337,8 +343,11 @@ def write_sweep_csv(table):
         from .reprtext import csv_rows
 
         return csv_rows(header, floats, flags, _FLAG_TEXT)
-    cells = [map(repr, values) for values in floats]
-    cells += [map(_FLAG_TEXT.__getitem__, column) for column in flags]
+    words = list(_FLAG_TEXT.values())
+    cells = [map(repr, values.tolist() if is_column(values) else values)
+             for values in floats]
+    cells += [map(words.__getitem__, column.tolist()) if is_column(column)
+              else map(_FLAG_TEXT.__getitem__, column) for column in flags]
     return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
 
 

@@ -73,6 +73,31 @@ def test_summary_counts_a_tie_as_no_win():
     assert summary["latency_s"]["change_over_parent"] == 1.0
 
 
+def test_a_metric_is_resolved_by_ten_pairs_within_its_bound():
+    # parent latencies with inclusive quartiles 0.96 and 1.04 around a
+    # median of 1.0, an 8 % spread; cells per second 0.08 / 101
+    spread = [0.9, 0.96, 0.96, 0.96, 0.96, 1.0, 1.04, 1.04, 1.04, 1.04, 1.1]
+    runs = [record(pair, side, value, 100.0 + value, seed=seed)
+            for seed, pairs in ((1, 11), (2, 9)) for pair in range(pairs)
+            for side, value in (("parent", spread[pair]), ("change", 0.5))]
+    bounds = {"latency_s": 0.1, "cells_per_s": 0.0005}
+    eleven, nine = (bench_pairs.summarize(runs, BETTER, bounds)[key]
+                    for key in ("sweep_saturated/seed1", "sweep_saturated/seed2"))
+    latency = eleven["latency_s"]["parent"]
+    assert (latency["q1"], latency["median"], latency["q3"]) == \
+        pytest.approx((0.96, 1.0, 1.04))
+    assert eleven["latency_s"]["resolved"] is True
+    assert eleven["cells_per_s"]["resolved"] is False  # 0.08 / 101 > 0.0005
+    # nine pairs are too few, however they win
+    assert nine["latency_s"]["parent"]["n"] == 9
+    assert nine["latency_s"]["change_wins"] == 9
+    assert nine["latency_s"]["resolved"] is False
+    # a metric without a bound is resolved by its pair count alone
+    loose = bench_pairs.summarize(runs, BETTER)
+    assert loose["sweep_saturated/seed1"]["cells_per_s"]["resolved"] is True
+    assert loose["sweep_saturated/seed2"]["cells_per_s"]["resolved"] is False
+
+
 def test_src_lines_counts_python_files_under_src(tmp_path):
     package = tmp_path / "src" / "pkg"
     package.mkdir(parents=True)

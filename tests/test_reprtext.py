@@ -3,6 +3,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -15,8 +16,10 @@ SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
 def kernel_lines(values):
-    """The kernel's text of each float of `values`, one column, no flags."""
+    """The kernel's text of each float of `values`, one column, no flags,
+    the same from a list as from a float64 array."""
     text = reprtext.csv_rows(["x"], [values], [], {})
+    assert reprtext.csv_rows(["x"], [np.array(values)], [], {}) == text
     lines = text.split("\n")
     assert lines[0] == "x" and lines[-1] == ""
     return lines[1:-1]
@@ -67,22 +70,44 @@ def test_every_exponent_and_form_is_written_as_repr_writes_it():
     assert kernel_lines(values) == [repr(v) for v in values]
 
 
-def test_rows_span_blocks_and_flags_fill_two_slots(monkeypatch):
-    # 7 floats and 8 flag columns per row; blocks of 2 rows, the last short
-    monkeypatch.setattr(reprtext, "BLOCK_CELLS", 14)
+FLAG_TEXT = {True: "true", False: "false", None: "nan"}
+
+
+def block_case():
+    """7 float and 8 flag columns of 5 rows, a row's flags filling two
+    slots, all three flag states in each flag column, and the expected
+    text."""
     rows = 5
     floats = [[(-1.5) ** (i + j) * 10.0 ** (37 * j - 100) for i in range(rows)]
               for j in range(7)]
     flags = [[(True, False, None)[(i + j) % 3] for i in range(rows)]
              for j in range(8)]
-    text = {True: "true", False: "false", None: "nan"}
     names = [f"c{j}" for j in range(15)]
     expected = [",".join(names)] + [
         ",".join([*(repr(column[i]) for column in floats),
-                  *(text[column[i]] for column in flags)])
+                  *(FLAG_TEXT[column[i]] for column in flags)])
         for i in range(rows)]
-    assert reprtext.csv_rows(names, floats, flags, text) == \
-        "\n".join(expected) + "\n"
+    return names, floats, flags, "\n".join(expected) + "\n"
+
+
+def test_rows_span_blocks_and_flags_fill_two_slots(monkeypatch):
+    # blocks of 2 rows, the last short
+    monkeypatch.setattr(reprtext, "BLOCK_CELLS", 14)
+    names, floats, flags, expected = block_case()
+    assert reprtext.csv_rows(names, floats, flags, FLAG_TEXT) == expected
+
+
+def test_float64_columns_and_flag_codes_give_the_text_of_lists(monkeypatch):
+    # the flag codes index the flag texts: True 0, False 1, None 2
+    monkeypatch.setattr(reprtext, "BLOCK_CELLS", 14)
+    names, floats, flags, expected = block_case()
+    codes = [np.array([list(FLAG_TEXT).index(flag) for flag in column],
+                      np.uint8) for column in flags]
+    floats = list(map(np.array, floats))
+    assert reprtext.csv_rows(names, floats, codes, FLAG_TEXT) == expected
+    # a list and an array column side by side
+    assert reprtext.csv_rows(names, floats[:1] + [floats[1].tolist()] + floats[2:],
+                             codes[:3] + flags[3:], FLAG_TEXT) == expected
 
 
 def both_paths(monkeypatch, table):

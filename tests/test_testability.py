@@ -430,10 +430,16 @@ print(json.dumps(out))
         assert [r.hex() for r in radii] == grid, case
 
 
+def _row_flags(table):
+    # the flags of each row view with their types, on either kind of table
+    return [{name: (flag, type(flag)) for name, flag in row.violated.items()}
+            for row in table]
+
+
 def _same_tables(one, two):
     # NaN cells compare by their text, as the CSV writes them
     return (write_sweep_csv(one) == write_sweep_csv(two)
-            and one.violated == two.violated and one.errors == two.errors)
+            and _row_flags(one) == _row_flags(two) and one.errors == two.errors)
 
 
 def _by_radius_and_by_column(monkeypatch, scenario, lo, hi, points):
@@ -479,6 +485,29 @@ def test_scalar_and_column_paths_give_equal_tables_halved_deep(monkeypatch,
                                                     lo, hi, 2000)
     assert _same_tables(by_radius, by_column)
     assert min(sizes) < 2000 // 4  # more than two levels of halving
+
+
+def test_row_views_and_intervals_give_python_values_on_both_paths(
+        monkeypatch):
+    # a column table keeps numpy columns; its views and intervals do not
+    tables = _by_radius_and_by_column(monkeypatch, BASELINE, 1e-7, 1e104,
+                                      2000)
+    assert [numerics.is_column(t.violated["csl"]) for t in tables] == [
+        False, True]
+    for table in tables:
+        flags = set()
+        for row in table:
+            cells = [row.radius, row.mass, row.ced_qm, *row.ced_model.values()]
+            assert {type(cell) for cell in cells} == {float}
+            flags.update(map(type, row.violated.values()))
+            flags.update(row.violated.values())
+        assert flags == {bool, type(None), True, False, None}
+        spans = [violation_intervals(table, name) for name in MODEL_PRESETS]
+        assert any(spans)
+        for lo, hi in (span for model in spans for span in model):
+            assert type(lo) is float and type(hi) is float and lo <= hi
+    assert ([violation_intervals(tables[0], name) for name in MODEL_PRESETS]
+            == [violation_intervals(tables[1], name) for name in MODEL_PRESETS])
 
 
 def test_sweeps_choose_their_path_by_cell_count(monkeypatch):

@@ -8,11 +8,15 @@ one after the other: the parent first in even pairs, the change first in odd
 pairs, so that a drift of the machine hits both sides alike.  The last line
 of each run's standard output is its JSON result.  The summary gives, per
 workload and seed, each end-to-end metric's median and quartiles on both
-sides and the number of pairs the change won.  The record also keeps the
-line count of `src/` on both sides, counted in the exported trees.
+sides and the number of pairs the change won.  A metric is marked
+unresolved when it has fewer than MIN_PAIRS pairs, or when the parent's
+spread, (q3 - q1) / median, exceeds the metric's bound in BENCHMARK.json:
+such a median cannot tell a change of the bound's size from noise.  The
+record also keeps the line count of `src/` on both sides, counted in the
+exported trees.
 
     python3 tools/bench_pairs.py --pr 7 --parent HEAD~1 --change HEAD \\
-        --runs 1:10 --runs 2:3
+        --runs 1:10 --runs 2:10
 
 Every run lasts 20 s and covers all three workloads; the record is written
 to BENCH_<pr>.json at the root of the repository.
@@ -24,6 +28,7 @@ changes anything under bench/.
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -38,6 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("cli_reports", "sweep_quadratic", "sweep_saturated")
 SIDES = ("parent", "change")
 SECONDS = 20
+MIN_PAIRS = 10
 ORDER = "pairs of runs, parent first in even pairs and change first in odd pairs"
 
 
@@ -87,12 +93,14 @@ def _value(run, metric):
             .get("value"))
 
 
-def summarize(runs, better):
+def summarize(runs, better, bounds=None):
     """Summary per "<workload>/seed<seed>" of run records.
 
-    `better` maps each end-to-end metric to "lower" or "higher".  Only pairs
-    with both sides count.  A pair is won by the change when its value is
-    strictly better than the parent's in the same pair.
+    `better` maps each end-to-end metric to "lower" or "higher", `bounds`
+    some of them to their relative bound.  Only pairs with both sides count.
+    A pair is won by the change when its value is strictly better than the
+    parent's in the same pair.  A metric is "resolved" when it has at least
+    MIN_PAIRS pairs and the parent's (q3 - q1) / median is within its bound.
     """
     groups = {}
     for run in runs:
@@ -119,10 +127,13 @@ def summarize(runs, better):
                 continue
             parent, change = (quartiles(list(v)) for v in zip(*measured))
             sign = 1.0 if direction == "lower" else -1.0
+            spread = (parent["q3"] - parent["q1"]) / parent["median"]
+            bound = (bounds or {}).get(metric, math.inf)
             entry[metric] = {
                 "better": direction, "parent": parent, "change": change,
                 "change_over_parent": change["median"] / parent["median"],
-                "change_wins": sum(sign * (c - p) < 0.0 for p, c in measured)}
+                "change_wins": sum(sign * (c - p) < 0.0 for p, c in measured),
+                "resolved": len(measured) >= MIN_PAIRS and spread <= bound}
         summary[key] = entry
     return summary
 
@@ -180,8 +191,10 @@ def main(argv=None):
     commits = {side: git("rev-parse", rev).decode().strip()
                for side, rev in (("parent", args.parent),
                                  ("change", args.change))}
-    better = {m["name"]: m["better"] for m in json.loads(
-        git("show", f"{commits['change']}:BENCHMARK.json"))["end_to_end"]}
+    metrics = json.loads(git("show", f"{commits['change']}:BENCHMARK.json")
+                         )["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkouts = {}
@@ -216,7 +229,7 @@ def main(argv=None):
     if args.note:
         record["note"] = args.note
     record.update(machine=machine(), versions=versions(),
-                  summary=summarize(runs, better), runs=runs)
+                  summary=summarize(runs, better, bounds), runs=runs)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
