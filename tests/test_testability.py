@@ -495,13 +495,13 @@ def test_row_views_and_intervals_give_python_values_on_both_paths(
     assert [numerics.is_column(t.violated["csl"]) for t in tables] == [
         False, True]
     for table in tables:
-        flags = set()
+        kinds, flags = set(), set()
         for row in table:
             cells = [row.radius, row.mass, row.ced_qm, *row.ced_model.values()]
             assert {type(cell) for cell in cells} == {float}
-            flags.update(map(type, row.violated.values()))
+            kinds.update(map(type, row.violated.values()))
             flags.update(row.violated.values())
-        assert flags == {bool, type(None), True, False, None}
+        assert kinds == {bool, type(None)} and flags == {True, False, None}
         spans = [violation_intervals(table, name) for name in MODEL_PRESETS]
         assert any(spans)
         for lo, hi in (span for model in spans for span in model):
