@@ -141,9 +141,9 @@ def record(cls):
     `__init__` takes the fields by position or keyword, fills in the class
     defaults and then runs the class's `__post_init__` check.  Assigning or
     deleting an attribute raises; functools.cached_property still works, as it
-    writes the instance `__dict__` directly.  Equality, hash and repr go over
-    the field values.  Nothing is compiled, so building a record class costs
-    microseconds.
+    writes the instance `__dict__` directly.  Equality, unless the class
+    defines its own, hash and repr go over the field values.  Nothing is
+    compiled, so building a record class costs microseconds.
     """
     names = tuple(cls.__annotations__)
     known = frozenset(names)
@@ -184,7 +184,8 @@ def record(cls):
     def frozen(self, name, *_):
         raise AttributeError(f"{cls.__name__} is frozen: cannot set {name!r}")
 
-    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__init__, cls.__repr__ = __init__, __repr__
+    cls.__eq__ = cls.__dict__.get("__eq__", __eq__)
     cls.__hash__ = lambda self: hash(values(self))
     cls.__setattr__ = cls.__delattr__ = frozen
     cls._fields = names

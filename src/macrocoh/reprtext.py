@@ -1,8 +1,9 @@
 """`repr` of float columns in bulk: the text of a large sweep CSV.
 
 `csv_rows` stacks its float columns, float64 arrays or lists, into one
-row-major array once and writes every float as `repr(float(x))` does, byte
-for byte, by numpy over blocks of its rows, in two stages.  First the digits: Schubfach (R.
+row-major array once, looks up the word of each flag code in one step, and
+writes every float as `repr(float(x))` does, byte for byte, by numpy over
+blocks of its rows, in two stages.  First the digits: Schubfach (R.
 Giulietti, "The Schubfach way to render doubles", 2020; Ryu, U. Adams, PLDI
 2018, gives the same digits) finds the shortest decimal f * 10**k that
 rounds back to x, the nearest one, ties to even, as CPython's dtoa does.
@@ -179,25 +180,20 @@ def _float_slots(x, out):
                 repr(float(x[i])).encode().ljust(48, b"\0"), "<i8")
 
 
-def csv_rows(header, floats, flags, flag_text):
+def csv_rows(header, floats, codes, words):
     """The text of a CSV: the line of the column names `header`, then a
     line per row: its cells of the float columns `floats`, as repr writes
-    them, then the text of its cells of the columns `flags`.  A flag column
-    is an integer array of codes, indices into flag_text's values, or a list
-    of flag_text's keys.  Lists are converted to arrays once.  Every line
-    ends in a newline; each flag text is ASCII of at most 7 bytes."""
+    them, then words[code] of its cells of the columns `codes`, integer
+    codes.  A column is an array or a list; lists are converted once.  Every
+    line ends in a newline; each word is ASCII of at most 7 bytes."""
     x = np.stack(floats, axis=1, dtype=np.float64)  # a row of floats per row
     rows, width = x.shape
-    codes = {key: i for i, key in enumerate(flag_text)}
-    words = np.array([_ascii(text.encode("ascii")) for text in flag_text.values()],
-                     np.int64)
-    flag_rows = np.array([column if isinstance(column, np.ndarray) else
-                          [codes[flag] for flag in column] for column in flags],
-                         np.uint8).reshape(len(flags), rows).T
+    words = np.array([_ascii(word.encode("ascii")) for word in words], np.int64)
+    flags = np.array(codes, np.uint8).reshape(len(codes), rows).T
     # a row is a slot per float, then a word per flag, six words to a slot
-    slots_per_row = width + -(-len(flags) // 6)
+    slots_per_row = width + -(-len(codes) // 6)
     separators = np.zeros(6 * slots_per_row, np.int64)
-    ends = [*range(5, 6 * width, 6), *range(6 * width, 6 * width + len(flags))]
+    ends = [*range(5, 6 * width, 6), *range(6 * width, 6 * width + len(codes))]
     separators[ends] = ord(",") << 56
     separators[ends[-1]] = ord("\n") << 56
     block = max(1, BLOCK_CELLS // width)
@@ -207,7 +203,7 @@ def csv_rows(header, floats, flags, flag_text):
         slots = np.zeros((stop - start, slots_per_row, 6), "<i8")
         _float_slots(x[start:stop].ravel(), slots[:, :width])
         slots = slots.reshape(stop - start, -1)
-        slots[:, 6 * width:6 * width + len(flags)] = words[flag_rows[start:stop]]
+        slots[:, 6 * width:6 * width + len(codes)] = words[flags[start:stop]]
         slots += separators
         parts.append(slots.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)

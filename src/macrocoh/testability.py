@@ -31,8 +31,9 @@ one by the numpy kernel of `reprtext`, which gives the same bytes.
 """
 
 import math
+import re
 from functools import partial
-from operator import attrgetter, ne
+from operator import attrgetter
 
 from .collapse import (CSL_ADLER, CSL_DEFAULT, csl_law, dp_law, k_law,
                        k_sat_law, qg_law)
@@ -93,8 +94,8 @@ class SweepConfig:
             raise ValueError("model names must be unique within a sweep")
 
 
-_FLAG_TEXT = {True: "true", False: "false", None: "nan"}
-_FLAGS = tuple(_FLAG_TEXT)  # the flag of each code of a uint8 flag column
+_FLAGS = (True, False, None)  # the flag of each code of a flag column
+_FLAG_WORDS = ("true", "false", "nan")  # and its text in the sweep CSV
 
 
 @record
@@ -114,19 +115,20 @@ class SweepTable:
     """A solved sweep stored by column, rows in grid order.
 
     `radius` is a list of Python floats.  The other columns are lists in a
-    table solved radius by radius, with True, False or None per flag: None
-    where either CED of the row is NaN, a failed cell being undecided, never
-    "not violated".  Solved by columns they are float64 arrays and uint8
-    flag codes, indices into _FLAG_TEXT.  `errors` maps a row index to
-    {"qm" or model name: message}.  Indexing and iteration give SweepRow
-    views of Python floats and True/False/None.
+    table solved radius by radius and numpy arrays in one solved by columns:
+    float64 for the floats, uint8 for the flags.  A flag column holds a code
+    per row, an index into _FLAGS: undecided where either CED of the row is
+    NaN, a failed cell being never "not violated".  `errors` maps a row index
+    to {"qm" or model name: message}.  Indexing and iteration give SweepRow
+    views of Python floats and True/False/None, and two tables are equal
+    when their row views are.
     """
 
     radius: list                  # m
     mass: object                  # kg; list or float64 array
     ced_qm: object                # m; list or float64 array
     ced_model: dict               # name -> column of CED (m)
-    violated: dict                # name -> True/False/None list or uint8 codes
+    violated: dict                # name -> column of flag codes
     errors: dict
 
     def __len__(self):
@@ -138,12 +140,17 @@ class SweepTable:
             radius=self.radius[i], mass=float(self.mass[i]),
             ced_qm=float(self.ced_qm[i]),
             ced_model={name: float(col[i]) for name, col in self.ced_model.items()},
-            violated={name: _FLAGS[col[i]] if is_column(col) else col[i]
-                      for name, col in self.violated.items()},
+            violated={name: _FLAGS[col[i]] for name, col in self.violated.items()},
             errors=dict(self.errors.get(i, {})))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self.radius)))
+
+    def __eq__(self, other):
+        # by row views: an array column has no truth value to give
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def radius_grid(config):
@@ -253,7 +260,8 @@ def _solve(radii, scenario, models):
     """SweepTable of the given radii.  A NaN cell records its message under
     its errors key, the first per key and row.  A model's flag is None where
     either CED is NaN, else model CED < QM CED, so an inf model CED never
-    violates and an inf QM CED dominates any finite model."""
+    violates and an inf QM CED dominates any finite model; its codes index
+    _FLAGS."""
     radii = list(map(float, radii))
     laws = _laws(models)
     parts = _part(radii, scenario, laws)
@@ -263,13 +271,12 @@ def _solve(radii, scenario, models):
 
         undecided = [np.isnan(values) for values in columns]
         nans = [np.flatnonzero(mask).tolist() for mask in undecided]
-        # codes into _FLAG_TEXT: True 0, False 1, None 2
         flags = [np.where(mask | undecided[1], np.uint8(2), values >= columns[1])
                  for values, mask in zip(columns[2:], undecided[2:])]
     else:
         nans = [[i for i, value in enumerate(values) if value != value]
                 for values in columns]
-        flags = [[None if m != m or q != q else m < q
+        flags = [[2 if m != m or q != q else int(m >= q)
                   for m, q in zip(values, columns[1])] for values in columns[2:]]
     errors = {}
     for (key, _), (_, messages), rows in zip(laws, parts, nans):
@@ -296,19 +303,10 @@ def evaluate_radius(radius, scenario, models):
 def violation_intervals(table, model_name):
     """Maximal contiguous violated runs as (r_lo, r_hi) pairs at grid
     resolution; an undecided row ends a run like a non-violated one."""
-    flags = table.violated[model_name]
-    if is_column(flags):
-        import numpy as np
-
-        held = np.zeros(len(flags) + 2, bool)
-        held[1:-1] = flags == 0
-        edges = np.flatnonzero(held[1:] != held[:-1]).tolist()
-    else:
-        held = [False, *map(bool, flags), False]
-        edges = [i for i, edge in enumerate(map(ne, held, held[1:])) if edge]
-    # the rows where a run starts and those just past its end, in turn
-    return [(table.radius[lo], table.radius[hi - 1])
-            for lo, hi in zip(edges[::2], edges[1::2])]
+    # the runs of code 0 in the flag column, a byte per row as uint8 codes
+    runs = re.finditer(b"\0+", bytes(table.violated[model_name]))
+    return [(table.radius[run.start()], table.radius[run.end() - 1])
+            for run in runs]
 
 
 # A sweep CSV of at least this many float cells, radii x (3 + models), is
@@ -342,12 +340,10 @@ def write_sweep_csv(table):
     if len(floats) * len(table) >= KERNEL_FLOATS:
         from .reprtext import csv_rows
 
-        return csv_rows(header, floats, flags, _FLAG_TEXT)
-    words = list(_FLAG_TEXT.values())
-    cells = [map(repr, values.tolist() if is_column(values) else values)
-             for values in floats]
-    cells += [map(words.__getitem__, column.tolist()) if is_column(column)
-              else map(_FLAG_TEXT.__getitem__, column) for column in flags]
+        return csv_rows(header, floats, flags, _FLAG_WORDS)
+    lists = [c.tolist() if is_column(c) else c for c in floats + flags]
+    cells = [map(repr, values) for values in lists[:len(floats)]]
+    cells += [map(_FLAG_WORDS.__getitem__, codes) for codes in lists[len(floats):]]
     return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
 
 

@@ -18,8 +18,8 @@ SMALLEST_NORMAL = 2.2250738585072014e-308
 def kernel_lines(values):
     """The kernel's text of each float of `values`, one column, no flags,
     the same from a list as from a float64 array."""
-    text = reprtext.csv_rows(["x"], [values], [], {})
-    assert reprtext.csv_rows(["x"], [np.array(values)], [], {}) == text
+    text = reprtext.csv_rows(["x"], [values], [], ())
+    assert reprtext.csv_rows(["x"], [np.array(values)], [], ()) == text
     lines = text.split("\n")
     assert lines[0] == "x" and lines[-1] == ""
     return lines[1:-1]
@@ -70,44 +70,41 @@ def test_every_exponent_and_form_is_written_as_repr_writes_it():
     assert kernel_lines(values) == [repr(v) for v in values]
 
 
-FLAG_TEXT = {True: "true", False: "false", None: "nan"}
+WORDS = ("true", "false", "nan")
 
 
 def block_case():
-    """7 float and 8 flag columns of 5 rows, a row's flags filling two
-    slots, all three flag states in each flag column, and the expected
+    """7 float and 8 flag columns of 5 rows as lists, a row's flags filling
+    two slots, all three flag codes in each flag column, and the expected
     text."""
     rows = 5
     floats = [[(-1.5) ** (i + j) * 10.0 ** (37 * j - 100) for i in range(rows)]
               for j in range(7)]
-    flags = [[(True, False, None)[(i + j) % 3] for i in range(rows)]
-             for j in range(8)]
+    codes = [[(i + j) % 3 for i in range(rows)] for j in range(8)]
     names = [f"c{j}" for j in range(15)]
     expected = [",".join(names)] + [
         ",".join([*(repr(column[i]) for column in floats),
-                  *(FLAG_TEXT[column[i]] for column in flags)])
+                  *(WORDS[column[i]] for column in codes)])
         for i in range(rows)]
-    return names, floats, flags, "\n".join(expected) + "\n"
+    return names, floats, codes, "\n".join(expected) + "\n"
 
 
 def test_rows_span_blocks_and_flags_fill_two_slots(monkeypatch):
     # blocks of 2 rows, the last short
     monkeypatch.setattr(reprtext, "BLOCK_CELLS", 14)
-    names, floats, flags, expected = block_case()
-    assert reprtext.csv_rows(names, floats, flags, FLAG_TEXT) == expected
+    names, floats, codes, expected = block_case()
+    assert reprtext.csv_rows(names, floats, codes, WORDS) == expected
 
 
 def test_float64_columns_and_flag_codes_give_the_text_of_lists(monkeypatch):
-    # the flag codes index the flag texts: True 0, False 1, None 2
     monkeypatch.setattr(reprtext, "BLOCK_CELLS", 14)
-    names, floats, flags, expected = block_case()
-    codes = [np.array([list(FLAG_TEXT).index(flag) for flag in column],
-                      np.uint8) for column in flags]
-    floats = list(map(np.array, floats))
-    assert reprtext.csv_rows(names, floats, codes, FLAG_TEXT) == expected
-    # a list and an array column side by side
-    assert reprtext.csv_rows(names, floats[:1] + [floats[1].tolist()] + floats[2:],
-                             codes[:3] + flags[3:], FLAG_TEXT) == expected
+    names, floats, codes, expected = block_case()
+    arrays = [np.array(column) for column in floats]
+    code_arrays = [np.array(column, np.uint8) for column in codes]
+    assert reprtext.csv_rows(names, arrays, code_arrays, WORDS) == expected
+    # list and array columns side by side
+    assert reprtext.csv_rows(names, arrays[:1] + floats[1:2] + arrays[2:],
+                             code_arrays[:3] + codes[3:], WORDS) == expected
 
 
 def both_paths(monkeypatch, table):

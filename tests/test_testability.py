@@ -124,13 +124,13 @@ def test_failing_cells_keep_their_messages_and_stay_undecided():
     # the QM CED of row 5 is NaN although nothing raised: it gets a message
     assert math.isnan(table.ced_qm[5])
     assert table.errors[5] == {"qm": SILENT_NAN, "k": K_UNDERFLOW}
-    for name in ("csl", "k", "dp"):
-        cells = zip(table.ced_model[name], table.ced_qm, table.violated[name])
-        for ced_model, ced_qm, flag in cells:
-            if math.isnan(ced_model) or math.isnan(ced_qm):
+    for row in table:
+        for name in ("csl", "k", "dp"):
+            ced_model, flag = row.ced_model[name], row.violated[name]
+            if math.isnan(ced_model) or math.isnan(row.ced_qm):
                 assert flag is None
             else:
-                assert flag is (ced_model < ced_qm)
+                assert flag is (ced_model < row.ced_qm)
     assert violation_intervals(table, "k") == [(table.radius[1],
                                                 table.radius[2])]
     alone = evaluate_radius(table.radius[4], BASELINE, models)
@@ -157,7 +157,7 @@ def test_a_radius_the_particle_formulas_cannot_take_fails_only_its_row():
         assert math.isnan(table.ced_qm[i])
         for name in ("csl", "k", "dp"):
             assert math.isnan(table.ced_model[name][i])
-            assert table.violated[name][i] is None
+            assert table[i].violated[name] is None
     assert table.mass[0] == 0.0 and math.isnan(table.mass[2])
     assert "mass and trap frequency" in table.errors[0]["qm"]
     assert table.errors[2]["qm"] == "1e+110 ** 3 overflows a float"
@@ -204,14 +204,16 @@ def test_violation_antisymmetry_under_stronger_model():
 
 
 def _table_from_patterns(**patterns):
-    # abstract grid units; None marks an undecided (NaN) cell
+    # abstract grid units; None marks an undecided (NaN) cell, and a flag
+    # column holds the code of each flag: 0 True, 1 False, 2 None
     size = len(next(iter(patterns.values())))
     ced = {True: 0.5, False: 2.0, None: math.nan}
+    codes = {True: 0, False: 1, None: 2}
     return SweepTable(radius=[float(k + 1) for k in range(size)],
                       mass=[1.0] * size, ced_qm=[1.0] * size,
                       ced_model={name: [ced[flag] for flag in flags]
                                  for name, flags in patterns.items()},
-                      violated={name: list(flags)
+                      violated={name: [codes[flag] for flag in flags]
                                 for name, flags in patterns.items()},
                       errors={})
 
@@ -508,6 +510,20 @@ def test_row_views_and_intervals_give_python_values_on_both_paths(
             assert type(lo) is float and type(hi) is float and lo <= hi
     assert ([violation_intervals(tables[0], name) for name in MODEL_PRESETS]
             == [violation_intervals(tables[1], name) for name in MODEL_PRESETS])
+
+
+def test_tables_compare_by_their_row_views(monkeypatch):
+    # a column table's fields are numpy arrays, which have no truth value:
+    # tables compare by their row views, on either path
+    config = SweepConfig(radius_min=1e-8, radius_max=5e-7, points=301,
+                         scenario=BASELINE, models=tuple(MODEL_PRESETS.values()))
+    table = sweep(config)
+    assert numerics.is_column(table.mass) and not table.errors
+    assert table == sweep(config)
+    by_radius, _ = _by_radius_and_by_column(monkeypatch, BASELINE, 1e-8, 5e-7,
+                                            301)
+    assert not numerics.is_column(by_radius.mass) and by_radius == table
+    assert replace(table, ced_qm=table.ced_qm * 2) != table
 
 
 def test_sweeps_choose_their_path_by_cell_count(monkeypatch):
