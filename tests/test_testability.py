@@ -205,10 +205,10 @@ def test_violation_antisymmetry_under_stronger_model():
 
 def _table_from_patterns(**patterns):
     # abstract grid units; None marks an undecided (NaN) cell, and a flag
-    # column holds the code of each flag: 0 True, 1 False, 2 None
+    # column holds the code of each flag, its index in _FLAGS
     size = len(next(iter(patterns.values())))
     ced = {True: 0.5, False: 2.0, None: math.nan}
-    codes = {True: 0, False: 1, None: 2}
+    codes = {flag: code for code, flag in enumerate(testability._FLAGS)}
     return SweepTable(radius=[float(k + 1) for k in range(size)],
                       mass=[1.0] * size, ced_qm=[1.0] * size,
                       ced_model={name: [ced[flag] for flag in flags]
