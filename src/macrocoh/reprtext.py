@@ -1,6 +1,6 @@
 """`repr` of float columns in bulk: the text of a large sweep CSV.
 
-`csv_rows` stacks its float columns, float64 arrays or lists, into one
+`csv_rows` stacks its float columns, buffers of doubles, into one
 row-major array once, looks up the word of each flag code in one step, and
 writes every float as `repr(float(x))` does, byte for byte, by numpy over
 blocks of its rows, in two stages.  First the digits: Schubfach (R.
@@ -182,14 +182,14 @@ def _float_slots(x, out):
 
 def csv_rows(header, floats, codes, words):
     """The text of a CSV: the line of the column names `header`, then a
-    line per row: its cells of the float columns `floats`, as repr writes
-    them, then words[code] of its cells of the columns `codes`, integer
-    codes.  A column is an array or a list; lists are converted once.  Every
-    line ends in a newline; each word is ASCII of at most 7 bytes."""
+    line per row: its cells of the float columns `floats`, buffers of
+    doubles such as array('d'), as repr writes them, then words[code] of its
+    cells of the columns `codes`, buffers of a byte per code.  Every line
+    ends in a newline; each word is ASCII of at most 7 bytes."""
     x = np.stack(floats, axis=1, dtype=np.float64)  # a row of floats per row
     rows, width = x.shape
     words = np.array([_ascii(word.encode("ascii")) for word in words], np.int64)
-    flags = np.array(codes, np.uint8).reshape(len(codes), rows).T
+    flags = np.frombuffer(b"".join(codes), np.uint8).reshape(-1, rows).T
     # a row is a slot per float, then a word per flag, six words to a slot
     slots_per_row = width + -(-len(codes) // 6)
     separators = np.zeros(6 * slots_per_row, np.int64)

@@ -15,15 +15,15 @@ numpy; that covers the CLI default (50 radii x 4 models) and
 `evaluate_radius`.  A larger part works on columns: its radii become one
 numpy array, set as the radius of the scenario's particle, and the same
 coefficient laws and closed-form CET that serve a single radius
-(`collapse`, `decoherence`, `expansion`) fill one column per law at once,
-and the table keeps the columns until they become text (SweepTable); the
-mass and `Scenario.kinematics` are evaluated once per column.  The laws
+(`collapse`, `decoherence`, `expansion`) fill one column per law at once;
+the mass and `Scenario.kinematics` are evaluated once per column.  The laws
 whose column raises, or on which numpy flags a division by zero or an
 invalid operation, go down together into the two halves of the part, so
 each failing cell gets its own message and a NaN, and a radius whose mass
 or kinematics fail fails only its row.  Every value equals the single-radius
 result bit for bit (`numerics` states the rule that makes it so), so every
-split gives the same table.  A NaN cell that raised nothing gets SILENT_NAN.
+split gives the same table, in one format of the standard library
+(SweepTable).  A NaN cell that raised nothing gets SILENT_NAN.
 
 The sweep CSV (`write_sweep_csv`) writes every float as its repr.  A table
 of fewer than KERNEL_FLOATS float cells is written by repr itself, a larger
@@ -32,6 +32,7 @@ one by the numpy kernel of `reprtext`, which gives the same bytes.
 
 import math
 import re
+from array import array
 from functools import partial
 from operator import attrgetter
 
@@ -40,7 +41,6 @@ from .collapse import (CSL_ADLER, CSL_DEFAULT, csl_law, dp_law, k_law,
 from .config import csv_text, record
 from .decoherence import qm_channel_rates
 from .expansion import ced_or_inf
-from .numerics import is_column
 from .scenario import PRESET_FILES, load_preset, scenario_presets  # noqa: F401
 
 
@@ -112,23 +112,21 @@ class SweepRow:
 
 @record
 class SweepTable:
-    """A solved sweep stored by column, rows in grid order.
-
-    `radius` is a list of Python floats.  The other columns are lists in a
-    table solved radius by radius and numpy arrays in one solved by columns:
-    float64 for the floats, uint8 for the flags.  A flag column holds a code
-    per row, an index into _FLAGS: undecided where either CED of the row is
-    NaN, a failed cell being never "not violated".  `errors` maps a row index
-    to {"qm" or model name: message}.  Indexing and iteration give SweepRow
-    views of Python floats and True/False/None, and two tables are equal
-    when their row views are.
+    """A solved sweep stored by column, rows in grid order, in one format
+    on both paths: a float column is an array('d'), a flag column the bytes
+    of its codes, a code per row, an index into _FLAGS: undecided where
+    either CED of the row is NaN, a failed cell being never "not violated".
+    `errors` maps a row index to {"qm" or model name: message}.  Indexing
+    and iteration give SweepRow views of Python floats and True/False/None.
+    Two tables are equal when their columns are, bit for bit, so a NaN cell
+    equals itself, and their errors are.
     """
 
-    radius: list                  # m
-    mass: object                  # kg; list or float64 array
-    ced_qm: object                # m; list or float64 array
-    ced_model: dict               # name -> column of CED (m)
-    violated: dict                # name -> column of flag codes
+    radius: array                 # m
+    mass: array                   # kg
+    ced_qm: array                 # m
+    ced_model: dict               # name -> array of CED (m)
+    violated: dict                # name -> bytes of flag codes
     errors: dict
 
     def __len__(self):
@@ -137,20 +135,23 @@ class SweepTable:
     def __getitem__(self, index):
         i = range(len(self.radius))[index]
         return SweepRow(
-            radius=self.radius[i], mass=float(self.mass[i]),
-            ced_qm=float(self.ced_qm[i]),
-            ced_model={name: float(col[i]) for name, col in self.ced_model.items()},
+            radius=self.radius[i], mass=self.mass[i], ced_qm=self.ced_qm[i],
+            ced_model={name: col[i] for name, col in self.ced_model.items()},
             violated={name: _FLAGS[col[i]] for name, col in self.violated.items()},
             errors=dict(self.errors.get(i, {})))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self.radius)))
 
+    def _bits(self):
+        return ([c.tobytes() for c in (self.radius, self.mass, self.ced_qm)],
+                {name: c.tobytes() for name, c in self.ced_model.items()},
+                self.violated, self.errors)
+
     def __eq__(self, other):
-        # by row views: an array column has no truth value to give
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return list(self) == list(other)
+        return self._bits() == other._bits()
 
 
 def radius_grid(config):
@@ -196,11 +197,11 @@ SILENT_NAN = "CED is NaN: a non-finite intermediate value, nothing raised"
 
 # A part of a sweep of at most this many cells, radii x the errors keys of
 # its laws (1 + models for a whole sweep), is solved radius by radius, a
-# larger one by columns.  On a 2-vCPU x86-64 VM a cell takes about 20 us by
-# radius and 2-5 us in a column, and importing numpy takes 170-210 ms.  So a
-# fresh process gains below several thousand cells, while a caller that
-# already has numpy loses 15-18 us per cell: about 6 ms at 400 cells, a few
-# per cent of the import.
+# larger one by columns.  On a 2-vCPU x86-64 VM (2000 radii x 4 models, in
+# process, median of 7) a cell took 12.2 us by radius and 0.52 us in a
+# column, and a fresh `import numpy` 110-180 ms.  So a fresh process gains
+# below about 10,000 cells, while a caller that already has numpy loses
+# about 11.7 us per cell, 4.7 ms at 400 cells: a few per cent of the import.
 SCALAR_CELLS = 400
 
 
@@ -266,26 +267,27 @@ def _solve(radii, scenario, models):
     laws = _laws(models)
     parts = _part(radii, scenario, laws)
     columns = [values for values, _ in parts]
-    if is_column(columns[0]):
+    if isinstance(columns[0], list):
+        nans = [[i for i, value in enumerate(values) if value != value]
+                for values in columns]
+        flags = [bytes(2 if m != m or q != q else m >= q for m, q in
+                       zip(values, columns[1])) for values in columns[2:]]
+    else:
         import numpy as np
 
         undecided = [np.isnan(values) for values in columns]
         nans = [np.flatnonzero(mask).tolist() for mask in undecided]
         flags = [np.where(mask | undecided[1], np.uint8(2), values >= columns[1])
-                 for values, mask in zip(columns[2:], undecided[2:])]
-    else:
-        nans = [[i for i, value in enumerate(values) if value != value]
-                for values in columns]
-        flags = [[2 if m != m or q != q else int(m >= q)
-                  for m, q in zip(values, columns[1])] for values in columns[2:]]
+                 .tobytes() for values, mask in zip(columns[2:], undecided[2:])]
+        columns = [values.tobytes() for values in columns]
     errors = {}
     for (key, _), (_, messages), rows in zip(laws, parts, nans):
         for i in rows:
             errors.setdefault(i, {}).setdefault(key, messages[i])
-    mass, ced_qm, *ced = columns
+    mass, ced_qm, *ced = (array("d", values) for values in columns)
     names = [spec.name for spec in models]
     return SweepTable(
-        radius=radii, mass=mass, ced_qm=ced_qm,
+        radius=array("d", radii), mass=mass, ced_qm=ced_qm,
         ced_model=dict(zip(names, ced)), violated=dict(zip(names, flags)),
         errors=dict(sorted(errors.items())))
 
@@ -303,8 +305,8 @@ def evaluate_radius(radius, scenario, models):
 def violation_intervals(table, model_name):
     """Maximal contiguous violated runs as (r_lo, r_hi) pairs at grid
     resolution; an undecided row ends a run like a non-violated one."""
-    # the runs of code 0 in the flag column, a byte per row as uint8 codes
-    runs = re.finditer(b"\0+", bytes(table.violated[model_name]))
+    # the runs of code 0 in the flag column, a byte per row
+    runs = re.finditer(b"\0+", table.violated[model_name])
     return [(table.radius[run.start()], table.radius[run.end() - 1])
             for run in runs]
 
@@ -341,10 +343,8 @@ def write_sweep_csv(table):
         from .reprtext import csv_rows
 
         return csv_rows(header, floats, flags, _FLAG_WORDS)
-    lists = [c.tolist() if is_column(c) else c for c in floats + flags]
-    cells = [map(repr, values) for values in lists[:len(floats)]]
-    cells += [map(_FLAG_WORDS.__getitem__, codes) for codes in lists[len(floats):]]
-    return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
+    words = [map(_FLAG_WORDS.__getitem__, codes) for codes in flags]
+    return csv_text(header, zip(*floats, *words))
 
 
 def write_intervals_csv(intervals):

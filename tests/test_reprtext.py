@@ -2,6 +2,7 @@
 
 import math
 import struct
+from array import array
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ SMALLEST_NORMAL = 2.2250738585072014e-308
 
 def kernel_lines(values):
     """The kernel's text of each float of `values`, one column, no flags,
-    the same from a list as from a float64 array."""
-    text = reprtext.csv_rows(["x"], [values], [], ())
+    the same from an array('d') as from a float64 array."""
+    text = reprtext.csv_rows(["x"], [array("d", values)], [], ())
     assert reprtext.csv_rows(["x"], [np.array(values)], [], ()) == text
     lines = text.split("\n")
     assert lines[0] == "x" and lines[-1] == ""
@@ -74,13 +75,13 @@ WORDS = ("true", "false", "nan")
 
 
 def block_case():
-    """7 float and 8 flag columns of 5 rows as lists, a row's flags filling
-    two slots, all three flag codes in each flag column, and the expected
-    text."""
+    """7 float and 8 flag columns of 5 rows as array('d') and bytes, a row's
+    flags filling two slots, all three flag codes in each flag column, and
+    the expected text."""
     rows = 5
-    floats = [[(-1.5) ** (i + j) * 10.0 ** (37 * j - 100) for i in range(rows)]
-              for j in range(7)]
-    codes = [[(i + j) % 3 for i in range(rows)] for j in range(8)]
+    floats = [array("d", [(-1.5) ** (i + j) * 10.0 ** (37 * j - 100)
+                          for i in range(rows)]) for j in range(7)]
+    codes = [bytes((i + j) % 3 for i in range(rows)) for j in range(8)]
     names = [f"c{j}" for j in range(15)]
     expected = [",".join(names)] + [
         ",".join([*(repr(column[i]) for column in floats),
@@ -100,9 +101,9 @@ def test_float64_columns_and_flag_codes_give_the_text_of_lists(monkeypatch):
     monkeypatch.setattr(reprtext, "BLOCK_CELLS", 14)
     names, floats, codes, expected = block_case()
     arrays = [np.array(column) for column in floats]
-    code_arrays = [np.array(column, np.uint8) for column in codes]
+    code_arrays = [np.frombuffer(column, np.uint8) for column in codes]
     assert reprtext.csv_rows(names, arrays, code_arrays, WORDS) == expected
-    # list and array columns side by side
+    # array('d') and float64 columns, bytes and uint8 codes side by side
     assert reprtext.csv_rows(names, arrays[:1] + floats[1:2] + arrays[2:],
                              code_arrays[:3] + codes[3:], WORDS) == expected
 

@@ -7,6 +7,7 @@ import platform
 import random
 import subprocess
 import sys
+from array import array
 
 import pytest
 from hypothesis import assume, example, given
@@ -209,11 +210,12 @@ def _table_from_patterns(**patterns):
     size = len(next(iter(patterns.values())))
     ced = {True: 0.5, False: 2.0, None: math.nan}
     codes = {flag: code for code, flag in enumerate(testability._FLAGS)}
-    return SweepTable(radius=[float(k + 1) for k in range(size)],
-                      mass=[1.0] * size, ced_qm=[1.0] * size,
-                      ced_model={name: [ced[flag] for flag in flags]
+    return SweepTable(radius=array("d", [float(k + 1) for k in range(size)]),
+                      mass=array("d", [1.0] * size),
+                      ced_qm=array("d", [1.0] * size),
+                      ced_model={name: array("d", [ced[flag] for flag in flags])
                                  for name, flags in patterns.items()},
-                      violated={name: [codes[flag] for flag in flags]
+                      violated={name: bytes(codes[flag] for flag in flags)
                                 for name, flags in patterns.items()},
                       errors={})
 
@@ -432,18 +434,6 @@ print(json.dumps(out))
         assert [r.hex() for r in radii] == grid, case
 
 
-def _row_flags(table):
-    # the flags of each row view with their types, on either kind of table
-    return [{name: (flag, type(flag)) for name, flag in row.violated.items()}
-            for row in table]
-
-
-def _same_tables(one, two):
-    # NaN cells compare by their text, as the CSV writes them
-    return (write_sweep_csv(one) == write_sweep_csv(two)
-            and _row_flags(one) == _row_flags(two) and one.errors == two.errors)
-
-
 def _by_radius_and_by_column(monkeypatch, scenario, lo, hi, points):
     # SCALAR_CELLS = inf sends the whole sweep radius by radius
     models = tuple(MODEL_PRESETS.values())
@@ -466,7 +456,7 @@ def test_scalar_and_column_paths_give_equal_tables(monkeypatch, preset, lo,
     # the column path halves them down to radius-by-radius parts
     by_radius, by_column = _by_radius_and_by_column(
         monkeypatch, load_preset(preset), lo, hi, 301)
-    assert _same_tables(by_radius, by_column)
+    assert by_radius == by_column
     if lo < 1e-100:
         assert by_column.errors  # the halving is exercised
 
@@ -485,17 +475,32 @@ def test_scalar_and_column_paths_give_equal_tables_halved_deep(monkeypatch,
     monkeypatch.setattr(testability, "_part", traced)
     by_radius, by_column = _by_radius_and_by_column(monkeypatch, BASELINE,
                                                     lo, hi, 2000)
-    assert _same_tables(by_radius, by_column)
+    assert by_radius == by_column
     assert min(sizes) < 2000 // 4  # more than two levels of halving
+
+
+def _cell_rows(monkeypatch):
+    """The row count of each `_cells` call from now on, a law solved radius
+    by radius over that many rows."""
+    sizes = []
+    cells = testability._cells
+
+    def traced(cell, rows):
+        sizes.append(len(rows))
+        return cells(cell, rows)
+
+    monkeypatch.setattr(testability, "_cells", traced)
+    return sizes
 
 
 def test_row_views_and_intervals_give_python_values_on_both_paths(
         monkeypatch):
-    # a column table keeps numpy columns; its views and intervals do not
+    # the column solve, first, goes radius by radius only on the leaves of
+    # its failing stretches; the radius solve gives its 8 laws the whole grid
+    sizes = _cell_rows(monkeypatch)
     tables = _by_radius_and_by_column(monkeypatch, BASELINE, 1e-7, 1e104,
                                       2000)
-    assert [numerics.is_column(t.violated["csl"]) for t in tables] == [
-        False, True]
+    assert max(sizes[:-8]) < 2000 and sizes[-8:] == [2000] * 8
     for table in tables:
         kinds, flags = set(), set()
         for row in table:
@@ -512,18 +517,48 @@ def test_row_views_and_intervals_give_python_values_on_both_paths(
             == [violation_intervals(tables[1], name) for name in MODEL_PRESETS])
 
 
-def test_tables_compare_by_their_row_views(monkeypatch):
-    # a column table's fields are numpy arrays, which have no truth value:
-    # tables compare by their row views, on either path
+def test_tables_compare_column_by_column(monkeypatch):
+    # a table solved by columns, with no failing cell, equals one solved
+    # radius by radius; doubling a column makes it unequal
+    sizes = _cell_rows(monkeypatch)
     config = SweepConfig(radius_min=1e-8, radius_max=5e-7, points=301,
                          scenario=BASELINE, models=tuple(MODEL_PRESETS.values()))
     table = sweep(config)
-    assert numerics.is_column(table.mass) and not table.errors
+    assert sizes == [] and not table.errors
     assert table == sweep(config)
     by_radius, _ = _by_radius_and_by_column(monkeypatch, BASELINE, 1e-8, 5e-7,
                                             301)
-    assert not numerics.is_column(by_radius.mass) and by_radius == table
-    assert replace(table, ced_qm=table.ced_qm * 2) != table
+    assert sizes == [301] * 8 and by_radius == table
+    doubled = array("d", [2.0 * ced for ced in table.ced_qm])
+    assert replace(table, ced_qm=doubled) != table
+
+
+def test_tables_with_nan_cells_are_equal_bit_for_bit(monkeypatch):
+    # 2000 radii x all six models over 1e-7 to 1e104 m fail most rows with
+    # NaN cells: a table still equals itself and a new solve, on both paths
+    config = SweepConfig(radius_min=1e-7, radius_max=1e104, points=2000,
+                         scenario=BASELINE, models=tuple(MODEL_PRESETS.values()))
+    table = sweep(config)
+    assert len(table.errors) > 1000 and math.isnan(table.ced_qm[-1])
+    assert table == table and table == sweep(config)
+    by_radius, by_column = _by_radius_and_by_column(monkeypatch, BASELINE,
+                                                    1e-7, 1e104, 2000)
+    assert by_radius == by_radius and by_radius == by_column == table
+    with monkeypatch.context() as patch:
+        patch.setattr(testability, "SCALAR_CELLS", math.inf)
+        assert sweep(config) == by_radius
+    # one CED a bit off, or -0.0 in place of 0.0, makes a table unequal
+    ced = array("d", table.ced_model["csl"])
+    ced[0] = math.nextafter(ced[0], math.inf)
+    assert replace(table, ced_model={**table.ced_model, "csl": ced}) != table
+    zero, minus_zero = array("d", table.mass), array("d", table.mass)
+    zero[0], minus_zero[0] = 0.0, -0.0
+    assert replace(table, mass=zero) != replace(table, mass=minus_zero)
+    # one format on both paths: array('d') floats and bytes of flag codes
+    for one in (by_radius, by_column):
+        floats = [one.radius, one.mass, one.ced_qm, *one.ced_model.values()]
+        assert {(type(c), c.typecode) for c in floats} == {(array, "d")}
+        assert {type(c) for c in one.violated.values()} == {bytes}
 
 
 def test_sweeps_choose_their_path_by_cell_count(monkeypatch):
