@@ -140,9 +140,6 @@ class SweepTable:
             violated={name: _FLAGS[col[i]] for name, col in self.violated.items()},
             errors=dict(self.errors.get(i, {})))
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.radius)))
-
     def _bits(self):
         return ([c.tobytes() for c in (self.radius, self.mass, self.ced_qm)],
                 {name: c.tobytes() for name, c in self.ced_model.items()},
@@ -343,8 +340,9 @@ def write_sweep_csv(table):
         from .reprtext import csv_rows
 
         return csv_rows(header, floats, flags, _FLAG_WORDS)
-    words = [map(_FLAG_WORDS.__getitem__, codes) for codes in flags]
-    return csv_text(header, zip(*floats, *words))
+    cells = [map(repr, values) for values in floats]
+    cells += [map(_FLAG_WORDS.__getitem__, codes) for codes in flags]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
 
 
 def write_intervals_csv(intervals):
